@@ -65,10 +65,6 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _cmd_optimize(args) -> int:
     d = args.d
-    if args.external:
-        objective = external_objective(args.external, d)
-    else:
-        objective = benchmark(args.fn, d)
     center = _parse_vector(args.q0_center) if args.q0_center else np.zeros(d)
     if center.size != d:
         raise SystemExit2("q0-center length must equal --d")
@@ -82,13 +78,15 @@ def _cmd_optimize(args) -> int:
             sigma2=args.sigma2 if args.sigma2 is not None else 1.0 / d,
             mixture_weight=args.mixture_weight, batch_size=args.batch_size,
         )
-    estimate, _ = driver(objective, config)
-    value = objective._batch(estimate[None, :])[0] if not args.external else None
-    print("estimate:", " ".join(format_float(v) for v in estimate))
-    if value is not None:
-        print("objective value:", format_float(float(value)))
     if args.external:
-        objective.close()
+        with external_objective(args.external, d) as objective:
+            estimate, _ = driver(objective, config)
+    else:
+        objective = benchmark(args.fn, d)
+        estimate, _ = driver(objective, config)
+    print("estimate:", " ".join(format_float(v) for v in estimate))
+    if not args.external:
+        print("objective value:", format_float(objective(estimate)))
     return 0
 
 

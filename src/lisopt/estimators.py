@@ -13,6 +13,11 @@ import numpy as np
 Array = np.ndarray
 
 
+# Rows per block of the weighted average.  OpenBLAS splits larger products
+# across threads, which changes the summation order with the thread count.
+_AVERAGE_BLOCK_ROWS = 100_000
+
+
 class DegenerateWeightsError(ValueError):
     """Every log-weight is -inf; the caller decides the fallback."""
 
@@ -65,14 +70,19 @@ def self_normalized_average(points: Array, log_weights: Array) -> Array:
 
     The result is a convex combination of the points, and adding any constant
     to all log-weights leaves it unchanged (self-normalization): objective
-    shifts and unknown normalizers cancel.
+    shifts and unknown normalizers cancel.  The sum runs over fixed blocks of
+    rows, added in order, so its bits do not depend on the BLAS thread count.
     """
     points = np.asarray(points, dtype=float)
     lw = np.asarray(log_weights, dtype=float)
     if points.ndim != 2 or points.shape[0] != lw.shape[0]:
         raise ValueError("points must be (n, d) with one log-weight per row")
     p = normalized_weights(lw)
-    return p @ points
+    b = _AVERAGE_BLOCK_ROWS
+    total = p[:b] @ points[:b]
+    for start in range(b, p.size, b):
+        total += p[start:start + b] @ points[start:start + b]
+    return total
 
 
 def effective_sample_size(log_weights: Array) -> float:

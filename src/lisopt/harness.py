@@ -187,7 +187,10 @@ def _run_one_trial(spec: ExperimentSpec, method: str, trial: int) -> Array:
 def _worker_count() -> int:
     env = os.environ.get("LISOPT_WORKERS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"LISOPT_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -182,6 +183,14 @@ class ExternalObjective(Objective):
     Response: one decimal number on one line from the child's stdout.
     One request is always followed by exactly one response.
 
+    Requests are pipelined one batch at a time: all m lines of a batch are
+    written by a background thread while the m answers are read, so a batch
+    larger than the pipe buffer cannot deadlock.  The child must therefore
+    answer lines in order and flush each answer without waiting for more
+    input.  Any error in the middle of a batch kills the child, because its
+    unread answers would pair later requests with stale responses; every
+    later call then fails with "child process has exited".
+
     The child is single-threaded: concurrent use requires one child per
     worker.  Call :meth:`close` (or use as a context manager) to terminate
     the child.
@@ -201,16 +210,17 @@ class ExternalObjective(Objective):
             raise EvaluationError(f"failed to spawn {argv!r}: {exc}") from exc
         super().__init__(dimension, self._batch_roundtrip, name="external")
 
-    def _eval_one(self, x: Array) -> float:
-        line = " ".join(format_float(v) for v in x)
-        proc = self._proc
-        if proc.poll() is not None:
-            raise EvaluationError("child process has exited")
+    def _write(self, payload: str, failures: list) -> None:
         try:
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-            response = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
+            self._proc.stdin.write(payload)
+            self._proc.stdin.flush()
+        except OSError as exc:  # BrokenPipeError when the child is gone
+            failures.append(exc)
+
+    def _read_value(self) -> float:
+        try:
+            response = self._proc.stdout.readline()
+        except OSError as exc:
             raise EvaluationError(f"child pipe failure: {exc}") from exc
         if response == "":
             raise EvaluationError("child closed its output stream")
@@ -225,17 +235,40 @@ class ExternalObjective(Objective):
         return value
 
     def _batch_roundtrip(self, points: Array) -> Array:
-        return np.array([self._eval_one(p) for p in points])
+        if self._proc.poll() is not None:
+            raise EvaluationError("child process has exited")
+        # repr of a Python float is exactly format_float.
+        payload = "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist())
+        failures: list = []
+        writer = threading.Thread(target=self._write, args=(payload, failures), daemon=True)
+        writer.start()
+        try:
+            values = np.array([self._read_value() for _ in range(len(points))])
+        except BaseException:
+            # Killing the child first unblocks a writer stuck on a full pipe.
+            self._proc.kill()
+            writer.join()
+            self.close()
+            raise
+        writer.join()
+        if failures:
+            self.close()
+            raise EvaluationError(f"child pipe failure: {failures[0]}") from failures[0]
+        return values
 
     def close(self) -> None:
+        """End the child's input, wait up to 5 s for it to exit, then kill it."""
         proc = self._proc
-        if proc.poll() is None:
+        try:
             proc.stdin.close()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        except OSError:  # unsent input to a dead child is dropped
+            pass
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def __enter__(self) -> "ExternalObjective":
         return self

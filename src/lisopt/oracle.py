@@ -8,6 +8,10 @@ minimizer.
 Integrands are computed in shifted log space (shift = grid minimum of f) and
 exponentiated, so the same anti-underflow discipline applies as in the
 estimator core; the shift cancels algebraically in every ratio.
+
+``f`` is either a plain per-point callable, called once per grid node, or an
+:class:`~lisopt.objectives.Objective`, evaluated with one ``evaluate_batch``
+call per grid (so its ``eval_count`` grows by the node count per grid).
 """
 
 from __future__ import annotations
@@ -74,7 +78,11 @@ def _grid(spec: QuadratureSpec):
 
 def _shifted_boltzmann(f: Callable, spec: QuadratureSpec):
     nodes, weights, _ = _grid(spec)
-    values = np.array([f(x) for x in nodes], dtype=float)
+    evaluate_batch = getattr(f, "evaluate_batch", None)
+    if evaluate_batch is not None:
+        values = np.asarray(evaluate_batch(nodes), dtype=float)
+    else:
+        values = np.array([f(x) for x in nodes], dtype=float)
     if not np.all(np.isfinite(values)):
         raise QuadratureError("objective is non-finite on the quadrature box")
     shift = float(np.min(values))

@@ -1,5 +1,7 @@
 import glob
 import os
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +53,26 @@ def test_optimize_center_dimension_mismatch_is_usage_error(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def pid_recording_child(pid_file):
+    """An external child that writes its pid, then answers every line with garbage."""
+    code = ("import os, sys\n"
+            "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+            "for line in sys.stdin:\n"
+            "    print('garbage'); sys.stdout.flush()\n")
+    return " ".join(shlex.quote(a) for a in (sys.executable, "-c", code, str(pid_file)))
+
+
+def test_optimize_external_driver_error_reaps_the_child(capsys, tmp_path):
+    pid_file = tmp_path / "pid"
+    code, _, err = run_cli(
+        capsys, "optimize", "--external", pid_recording_child(pid_file), "--d", "2",
+        "--method", "adaptive_liso", "--n", "100", "--batch-size", "10",
+    )
+    assert code == 1 and "malformed response line" in err
+    with pytest.raises(ProcessLookupError):  # exited and waited for: no zombie
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_unknown_flag_is_usage_error(capsys):

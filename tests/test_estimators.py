@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lisopt
 from lisopt import (
     DegenerateWeightsError,
     bootstrap_stderr,
@@ -138,3 +142,27 @@ def test_bootstrap_stderr_scales_down_with_sample_size():
         lw = laplace_log_weights(1.0, pts[:, 0] ** 2, np.zeros(n))
         ses.append(bootstrap_stderr(pts, lw, make_rng(3), resamples=100)[0])
     assert ses[1] < ses[0] / 3
+
+
+_BLAS_PROBE = (
+    "import hashlib, numpy as np\n"
+    "from lisopt import IsotropicGaussian, StaticConfig, benchmark, run_liso\n"
+    "q0 = IsotropicGaussian(mean=np.full(4, 0.5), variance=0.25)\n"
+    "_, trace = run_liso(benchmark('sphere', 4),"
+    " StaticConfig(budget=150_000, alpha0=1.0, q0=q0, seed=3))\n"
+    "print(hashlib.sha256(trace.estimates.tobytes()).hexdigest())\n"
+)
+
+
+def test_average_is_blas_thread_count_invariant():
+    # Above ~1.2e5 rows OpenBLAS splits one product across threads, which
+    # changes the summation order; blocked sums must not depend on it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lisopt.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

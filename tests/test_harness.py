@@ -113,6 +113,12 @@ def test_worker_pool_matches_sequential(monkeypatch):
     assert sequential == parallel
 
 
+def test_bad_worker_count_names_the_variable(monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "abc")
+    with pytest.raises(ConfigError, match="LISOPT_WORKERS"):
+        run_experiment(small_spec())
+
+
 def test_methods_share_checkpoints(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "1")
     report = run_experiment(small_spec())

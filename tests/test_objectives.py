@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ GARBAGE_STUB = [sys.executable, "-u", "-c", (
 )]
 
 
+# Sums left to right like numpy's row sum of four, so its values are bit-equal
+# to benchmark("sphere", 4) (the builtin sum changed its algorithm in 3.12).
+LOOP_SPHERE_STUB = [sys.executable, "-u", "-c", (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    s = 0.0\n"
+    "    for v in line.split():\n"
+    "        s += float(v) * float(v)\n"
+    "    print(repr(s)); sys.stdout.flush()\n"
+)]
+
+EXIT_AFTER_10_STUB = [sys.executable, "-u", "-c", (
+    "import sys\n"
+    "for i in range(10):\n"
+    "    sys.stdin.readline(); print('1.0'); sys.stdout.flush()\n"
+)]
+
+GARBAGE_AT_5_STUB = [sys.executable, "-u", "-c", (
+    "import sys\n"
+    "for i, line in enumerate(sys.stdin):\n"
+    "    print('oops' if i == 4 else '1.0'); sys.stdout.flush()\n"
+)]
+
+
 def test_external_constant_stub():
     with external_objective(CONSTANT_STUB, 3) as obj:
         rng = np.random.default_rng(1)
@@ -158,3 +183,46 @@ def test_external_child_exit_is_an_error():
 def test_external_spawn_failure():
     with pytest.raises(EvaluationError):
         external_objective(["/nonexistent/binary"], 2)
+
+
+def finish_within(seconds, fn):
+    """Run ``fn`` in a daemon thread; fail instead of hanging if it blocks."""
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(fn()), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still blocked after {seconds} s"
+    assert outcome, "the call raised in its thread"
+    return outcome[0]
+
+
+def test_external_batch_larger_than_pipe_buffer_is_pipelined():
+    points = np.random.default_rng(3).standard_normal((20_000, 4))  # ~1.5 MB of requests
+
+    def evaluate():
+        with external_objective(LOOP_SPHERE_STUB, 4) as obj:
+            return obj.evaluate_batch(points), obj.eval_count
+
+    values, count = finish_within(60, evaluate)
+    assert count == 20_000
+    assert np.array_equal(values, benchmark("sphere", 4).evaluate_batch(points))
+
+
+def test_external_child_exit_mid_batch_does_not_hang():
+    def evaluate():
+        with external_objective(EXIT_AFTER_10_STUB, 4) as obj:
+            with pytest.raises(EvaluationError, match="closed its output stream"):
+                obj.evaluate_batch(np.ones((1000, 4)))  # ~80 kB, past the pipe buffer
+        return True
+
+    assert finish_within(10, evaluate)
+
+
+def test_external_error_mid_batch_closes_the_objective():
+    with external_objective(GARBAGE_AT_5_STUB, 2) as obj:
+        with pytest.raises(EvaluationError, match="malformed response line"):
+            obj.evaluate_batch(np.zeros((10, 2)))
+        # Unread answers would pair later requests with stale responses.
+        with pytest.raises(EvaluationError, match="child process has exited"):
+            obj(np.zeros(2))
+        assert obj.eval_count == 0

@@ -122,7 +122,7 @@ def test_random_search_best_value_nonincreasing_along_trace():
     _, trace = run_random_search(
         obj, StaticConfig(budget=3000, alpha0=1.0, q0=q0, seed=8)
     )
-    best_vals = [obj._batch(e[None, :])[0] for e in trace.estimates]
+    best_vals = [obj(e) for e in trace.estimates]
     assert np.all(np.diff(best_vals) <= 0)
 
 

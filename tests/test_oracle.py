@@ -5,6 +5,7 @@ import pytest
 
 from lisopt import (
     IsotropicGaussian,
+    Objective,
     QuadratureError,
     QuadratureSpec,
     cubic_perturbed_quadratic,
@@ -149,3 +150,37 @@ def test_laplace_gap_monotone_decay():
 def test_laplace_gap_requires_increasing_alphas():
     with pytest.raises(ValueError):
         laplace_gap(quadratic, [0.0], ((-1.0, 1.0),), [4.0, 2.0])
+
+
+class BatchCountingObjective(Objective):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batch_calls = 0
+
+    def evaluate_batch(self, points):
+        self.batch_calls += 1
+        return super().evaluate_batch(points)
+
+
+def quad_cubic_2d():
+    return BatchCountingObjective(2, lambda P: np.sum(P * P + 0.2 * P**3, axis=1))
+
+
+def test_objective_is_evaluated_one_batch_per_grid():
+    domain = ((-3.0, 3.0), (-3.0, 3.0))
+    spec = QuadratureSpec(domain, 41, 8.0)
+    reference = quad_cubic_2d()
+    per_node = gibbs_mean(lambda x: reference(x), spec)
+    assert reference.batch_calls == 41 * 41
+
+    obj = quad_cubic_2d()
+    assert np.array_equal(gibbs_mean(obj, spec), per_node)
+    assert (obj.batch_calls, obj.eval_count) == (1, 41 * 41)
+
+    alphas = [4.0, 8.0, 16.0, 32.0]
+    obj = quad_cubic_2d()
+    gaps = laplace_gap(obj, [0.0, 0.0], domain, alphas, grid_points=41)
+    assert (obj.batch_calls, obj.eval_count) == (len(alphas), len(alphas) * 41 * 41)
+    reference = quad_cubic_2d()
+    expected = laplace_gap(lambda x: reference(x), [0.0, 0.0], domain, alphas, grid_points=41)
+    assert np.array_equal(gaps, expected)
