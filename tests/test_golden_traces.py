@@ -1,0 +1,193 @@
+"""Golden traces: the exact bytes every driver records on small specs.
+
+Each digest covers the returned estimate, the per-checkpoint estimates,
+squared errors and ESS, and the degenerate-fallback flag.  The specs put
+checkpoints in the middle of a batch, on a batch boundary and in a final
+partial batch, and cover mixture weights 0 and 0.3, a projection box, a fixed
+temperature, an objective returning some +inf, and one whose first batch is
+all +inf so that the degenerate fallback runs.
+
+Refactors of the weighting arithmetic must leave every digest unchanged.
+The bits depend on numpy's SIMD kernels, so the digests only apply on the
+platform they were recorded on.
+"""
+
+import hashlib
+import platform
+import sys
+
+import numpy as np
+import pytest
+
+from lisopt import (
+    AdaptiveConfig,
+    IsotropicGaussian,
+    Objective,
+    StaticConfig,
+    benchmark,
+    run_adaptive_liso,
+    run_adaptive_random_search,
+    run_isotropic_es,
+    run_liso,
+    run_random_search,
+)
+
+
+def _fingerprint():
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", [])
+    return (f"{platform.machine()} python{sys.version_info[0]}.{sys.version_info[1]} "
+            f"numpy{np.__version__} simd:{','.join(simd)}")
+
+
+RECORDED_ON = "x86_64 python3.11 numpy2.4.6 simd:X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
+
+# Batches of 300 end at 300, 600, 900 and 1000 (a partial batch): 300 and 600
+# are batch boundaries, the others fall inside a batch.
+CHECKPOINTS = [1, 50, 300, 323, 450, 600, 777, 1000]
+Q0 = IsotropicGaussian(mean=np.full(3, 2.0), variance=0.5)
+BOX = (np.full(3, -0.5), np.full(3, 0.8))
+
+
+def _sphere_with_inf_region():
+    """Sphere, with +inf wherever the first coordinate exceeds 2."""
+    def f(P):
+        v = np.sum(P * P, axis=1)
+        v[P[:, 0] > 2.0] = np.inf
+        return v
+    return Objective(3, f, known_minimizer=np.zeros(3))
+
+
+def _sphere_after_inf_prefix(count=350):
+    """Sphere, except that the first ``count`` points ever evaluated are +inf."""
+    seen = [0]
+
+    def f(P):
+        v = np.sum(P * P, axis=1)
+        v[:max(0, count - seen[0])] = np.inf
+        seen[0] += P.shape[0]
+        return v
+    return Objective(3, f, known_minimizer=np.zeros(3))
+
+
+def _all_inf():
+    return Objective(3, lambda P: np.full(P.shape[0], np.inf), known_minimizer=np.zeros(3))
+
+
+# name -> (objective factory, budget, checkpoints, StaticConfig extras,
+#          AdaptiveConfig extras)
+CASES = {
+    "sphere": (lambda: benchmark("sphere", 3), 1000, CHECKPOINTS, {}, {}),
+    "sphere_mixture": (lambda: benchmark("sphere", 3), 1000, CHECKPOINTS,
+                       {}, {"mixture_weight": 0.3}),
+    "rastrigin_box": (lambda: benchmark("rastrigin", 3), 1000, CHECKPOINTS,
+                      {}, {"projection_box": BOX, "mixture_weight": 0.3}),
+    "ackley_fixed_alpha": (lambda: benchmark("ackley", 3), 1000, CHECKPOINTS,
+                           {"fixed_alpha": 3.0}, {}),
+    "inf_region": (_sphere_with_inf_region, 1000, CHECKPOINTS, {}, {}),
+    "inf_first_batch": (_sphere_after_inf_prefix, 1000, CHECKPOINTS,
+                        {}, {"mixture_weight": 0.3}),
+    "all_inf": (_all_inf, 1000, CHECKPOINTS, {}, {}),
+    "default_grid": (lambda: benchmark("sphere", 3), 3100, None, {}, {}),
+}
+
+DRIVERS = {
+    "liso": (run_liso, True),
+    "random_search": (run_random_search, True),
+    "adaptive_liso": (run_adaptive_liso, False),
+    "adaptive_random_search": (run_adaptive_random_search, False),
+    "isotropic_es": (run_isotropic_es, False),
+}
+
+GOLDEN = {
+    "ackley_fixed_alpha/adaptive_liso": "95129df3d344110e64541d90139adfa63981d461d84552e717d4a8837ee0f078",
+    "ackley_fixed_alpha/adaptive_random_search": "51836f6bfd2f6e057126e2e3e6e45b9d57f89a9795105896203318353f5bfa9b",
+    "ackley_fixed_alpha/isotropic_es": "f3535eec08d16ee90d772cef3d3fe107404ee93eece82268c0fb402cc71ae013",
+    "ackley_fixed_alpha/liso": "e5a9bd619de12930a049ede81515932c82b93fdef181c53466b3e25021743bb4",
+    "ackley_fixed_alpha/random_search": "5e9dd81f55ce670da7497a45a64f8fc23149c32c818789867671f85b239230e1",
+    "all_inf/adaptive_liso": "35a94ccf60065751311d020cfcc8dbbcab1c4083ceef5d6bca49c67c7c69234c",
+    "all_inf/adaptive_random_search": "a76207e1376b235987d33c6329f0e107f1e671c168052a1716451438b4b14944",
+    "all_inf/isotropic_es": "3cd7b904734d3e804cafbfbef198e877c0880204fb9c9aaf8ada5df6487b0cf7",
+    "all_inf/liso": "35a94ccf60065751311d020cfcc8dbbcab1c4083ceef5d6bca49c67c7c69234c",
+    "all_inf/random_search": "a76207e1376b235987d33c6329f0e107f1e671c168052a1716451438b4b14944",
+    "default_grid/adaptive_liso": "90b0628ac0bed894986b632b4d383bb28626eeb101c7f3b5b776747d9eab8d69",
+    "default_grid/adaptive_random_search": "de87144b9379f559ff047e7a7d0b895596d9fc1ecc9025c927c5ad1c4d299107",
+    "default_grid/isotropic_es": "6be5088c8685dcb456f3b84bd213e97f67651f62a1acef2a05ad0e3bc27e5e74",
+    "default_grid/liso": "b5734e6e1fea57b59c889886aa5e0b1426564c2663a065260dc3856b1a80af08",
+    "default_grid/random_search": "58edf467969522c09fc24e191e22e2adc0ecc8ca354886bf9e4a8273d3929802",
+    "inf_first_batch/adaptive_liso": "42602defd285cb83f3e3cdc0ef3aebcb696963a0b2461c4142970e35b64fe04a",
+    "inf_first_batch/adaptive_random_search": "bbe41f650244796ab358abf7d47439335cef3107eef7cadd70e2ac826dbc3aa0",
+    "inf_first_batch/isotropic_es": "69a05004472368b3e5f582b9e42773679df5b08288e8c96177d81cd2bf56ff76",
+    "inf_first_batch/liso": "6d8d2f06b6f9ee5b21a7e3020f0c62339f271803589b7f73d9643ac696287545",
+    "inf_first_batch/random_search": "08ea726acaf8d4dc834e360d80847b75b75626de05ba01334c78848e1c80d59d",
+    "inf_region/adaptive_liso": "4d796a622f245b4edf1c6556ec4be807b0984d9054275685993c22cdb8f2994d",
+    "inf_region/adaptive_random_search": "2680607889f9b2939c90f1767587bbd99655e7a59c21c79064b03898ca85039c",
+    "inf_region/isotropic_es": "1ede650bea6d01de33ee23863c3be12f3ced9f04edd90d975898b334eb8be686",
+    "inf_region/liso": "8fadfda0743d4960eaea356f3f3f650ff5d9733ca423eeeaee34065764220a5a",
+    "inf_region/random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
+    "rastrigin_box/adaptive_liso": "451fc9d739810ee075d82a6db793c1cc8f38d612a8044005b341c98bb10405e0",
+    "rastrigin_box/adaptive_random_search": "666e9a5328e017e11ce0134776183e4e2fe5c5e0cd53fa4c6271d334c0dc71ce",
+    "rastrigin_box/isotropic_es": "e8efb2c50f2f45c0bbee1633e3a2a07ffd8771fc602ad29b3007cab29d11f958",
+    "rastrigin_box/liso": "550712827041c58cc1631f71547264670d9c6f607926f07a514b2d7abcae992b",
+    "rastrigin_box/random_search": "e510e3983939c4559628f7b8a4df1f65e32822d17152bedda3bd718cd155bf21",
+    "sphere/adaptive_liso": "cd0da75b664e4297bd1a3a4f16f246e0772d3c564ba16d9cc6ab9e14432c917d",
+    "sphere/adaptive_random_search": "2680607889f9b2939c90f1767587bbd99655e7a59c21c79064b03898ca85039c",
+    "sphere/isotropic_es": "e0033a6a617ce77d0fc2d1471338451330a57b2b1cfba0d2b6e7c35ccb51478a",
+    "sphere/liso": "a0b6e20edd9edb2aa69fd4d10a9c42af25acc97a277d376cd151797b067eafa9",
+    "sphere/random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
+    "sphere_mixture/adaptive_liso": "90c818169cce4ce6728760cc5e4e8b604ea8754e3af06a91a0b0368fc68d1434",
+    "sphere_mixture/adaptive_random_search": "fecc7027dcd9ac32386906dc8e5bb7b27946173ab97dd4c314b030a4d5c76a5d",
+    "sphere_mixture/isotropic_es": "e0033a6a617ce77d0fc2d1471338451330a57b2b1cfba0d2b6e7c35ccb51478a",
+    "sphere_mixture/liso": "a0b6e20edd9edb2aa69fd4d10a9c42af25acc97a277d376cd151797b067eafa9",
+    "sphere_mixture/random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
+}
+
+
+def run_case(case, driver_name):
+    make_objective, budget, checkpoints, static_kw, adaptive_kw = CASES[case]
+    driver, is_static = DRIVERS[driver_name]
+    if is_static:
+        config = StaticConfig(budget=budget, alpha0=1.0, q0=Q0, seed=5,
+                              checkpoints=checkpoints, **static_kw)
+    else:
+        config = AdaptiveConfig(budget=budget, alpha0=1.0, q0=Q0, seed=5, sigma2=0.4,
+                                batch_size=300, checkpoints=checkpoints, **adaptive_kw)
+    objective = make_objective()
+    estimate, trace = driver(objective, config)
+    assert objective.eval_count == budget
+    return estimate, trace
+
+
+def trace_digest(estimate, trace):
+    h = hashlib.sha256()
+    for arr in (estimate, trace.estimates, trace.squared_errors, trace.ess):
+        h.update(b"None" if arr is None else np.ascontiguousarray(arr, dtype=float).tobytes())
+    h.update(b"1" if trace.degenerate_final else b"0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("driver_name", sorted(DRIVERS))
+def test_trace_bytes_are_pinned(case, driver_name):
+    if _fingerprint() != RECORDED_ON:
+        pytest.skip(f"digests recorded on {RECORDED_ON}")
+    assert trace_digest(*run_case(case, driver_name)) == GOLDEN[f"{case}/{driver_name}"]
+
+
+def test_cases_reach_the_paths_they_pin():
+    # The degenerate fallback runs at the final checkpoint only when every
+    # value is +inf, and at early checkpoints when the first batch is.
+    _, trace = run_case("all_inf", "adaptive_liso")
+    assert trace.degenerate_final
+    _, trace = run_case("inf_first_batch", "adaptive_liso")
+    assert not trace.degenerate_final
+    # Points 1..350 are +inf, so checkpoints 1, 50, 300 and 323 fall back.
+    assert np.isnan(trace.ess[:4]).all() and not np.isnan(trace.ess[4:]).any()
+    _, trace = run_case("rastrigin_box", "adaptive_liso")
+    assert np.any(trace.estimates == BOX[1]) or np.any(trace.estimates == BOX[0])
+
+
+if __name__ == "__main__":
+    # Prints the GOLDEN table for the current tree.
+    for case in sorted(CASES):
+        for name in sorted(DRIVERS):
+            print(f'    "{case}/{name}": "{trace_digest(*run_case(case, name))}",')
