@@ -4,6 +4,15 @@ All weight arithmetic happens in log space with a max shift; the raw ratio
 exp(-alpha f) / q is never formed.  The temperature grows polynomially with
 the sample count, so forming it directly would underflow double precision
 long before the interesting regime.
+
+Each formula is implemented once, as an in-place step on a caller-owned
+buffer: ``_log_weights_into``, ``_normalize_into``, ``_weighted_sum`` and
+``_kish_ess``.  The public functions validate their inputs and run these
+steps on fresh arrays.  The softmin drivers validate values and log-densities
+once, when each batch is evaluated, not on every re-weighting, and run the
+steps on one buffer per estimate; the adaptive driver re-weights its whole
+prefix after every batch, so it keeps one scratch buffer of length ``budget``
+and anchors each prefix at a running prefix minimum.
 """
 
 from __future__ import annotations
@@ -20,6 +29,44 @@ _AVERAGE_BLOCK_ROWS = 100_000
 
 class DegenerateWeightsError(ValueError):
     """Every log-weight is -inf; the caller decides the fallback."""
+
+
+def _log_weights_into(out: Array, alpha: float, values: Array, logq: Array, ref: float) -> Array:
+    """out = -alpha * (values - ref) - logq, in place; returns ``out``.
+
+    ``ref`` must be finite.  A +inf value maps to a -inf log-weight.
+    """
+    with np.errstate(invalid="ignore"):
+        np.subtract(values, ref, out=out)
+        out *= -alpha
+        out -= logq
+    return out
+
+
+def _normalize_into(w: Array) -> Array:
+    """Max-shifted softmax of the log-weights in ``w``, in place; returns ``w``."""
+    m = np.max(w)
+    if m == -np.inf:
+        raise DegenerateWeightsError("all log-weights are -inf")
+    w -= m
+    np.exp(w, out=w)
+    w /= np.sum(w)
+    return w
+
+
+def _weighted_sum(p: Array, points: Array) -> Array:
+    """p @ points, summed over fixed blocks of rows added in order, so its bits
+    do not depend on the BLAS thread count."""
+    b = _AVERAGE_BLOCK_ROWS
+    total = p[:b] @ points[:b]
+    for start in range(b, p.size, b):
+        total += p[start:start + b] @ points[start:start + b]
+    return total
+
+
+def _kish_ess(p: Array) -> float:
+    """1 / sum(p_i^2) for normalized weights p."""
+    return float(1.0 / np.sum(p * p))
 
 
 def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array) -> Array:
@@ -45,24 +92,15 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
         raise ValueError("values must be finite or +inf")
     if not np.all(np.isfinite(logq)):
         raise ValueError("sample log-densities must be finite")
-    finite = values != np.inf
-    if not np.any(finite):
+    ref = np.min(values) if values.size else np.inf
+    if ref == np.inf:
         return np.full(values.shape, -np.inf)
-    ref = np.min(values[finite])
-    with np.errstate(invalid="ignore"):
-        lw = -alpha * (values - ref) - logq
-    lw[~finite] = -np.inf
-    return lw
+    return _log_weights_into(np.empty(values.shape), alpha, values, logq, ref)
 
 
 def normalized_weights(log_weights: Array) -> Array:
     """Max-shifted softmax of the log-weights; nonnegative, sums to 1."""
-    lw = np.asarray(log_weights, dtype=float)
-    m = np.max(lw)
-    if m == -np.inf:
-        raise DegenerateWeightsError("all log-weights are -inf")
-    w = np.exp(lw - m)
-    return w / np.sum(w)
+    return _normalize_into(np.array(log_weights, dtype=float))
 
 
 def self_normalized_average(points: Array, log_weights: Array) -> Array:
@@ -77,12 +115,7 @@ def self_normalized_average(points: Array, log_weights: Array) -> Array:
     lw = np.asarray(log_weights, dtype=float)
     if points.ndim != 2 or points.shape[0] != lw.shape[0]:
         raise ValueError("points must be (n, d) with one log-weight per row")
-    p = normalized_weights(lw)
-    b = _AVERAGE_BLOCK_ROWS
-    total = p[:b] @ points[:b]
-    for start in range(b, p.size, b):
-        total += p[start:start + b] @ points[start:start + b]
-    return total
+    return _weighted_sum(normalized_weights(lw), points)
 
 
 def effective_sample_size(log_weights: Array) -> float:
@@ -90,8 +123,7 @@ def effective_sample_size(log_weights: Array) -> float:
 
     Diagnostic only: low values signal importance-weight degeneracy.
     """
-    p = normalized_weights(log_weights)
-    return float(1.0 / np.sum(p * p))
+    return _kish_ess(normalized_weights(log_weights))
 
 
 def bootstrap_stderr(

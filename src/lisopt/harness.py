@@ -7,13 +7,15 @@ half-width per checkpoint.  Everything downstream of a (spec, seed) pair is
 byte-deterministic.
 
 Trials may execute in parallel; the worker count comes from the
-``LISOPT_WORKERS`` environment variable (default: the processor count).
+``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
+process may run on).
 Aggregation folds results in trial order, so completion order never matters.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +50,15 @@ class ConfigError(ValueError):
     """An experiment spec is malformed."""
 
 
+_INT_FIELDS = ("dimension", "budget", "seed", "trials", "batch_size",
+               "checkpoint_start", "checkpoint_count")
+_REAL_FIELDS = ("alpha0", "q0_variance", "mixture_weight", "sigma2")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSpec:
     """Everything needed to reproduce one experiment."""
@@ -71,6 +82,18 @@ class ExperimentSpec:
     svg_out: Optional[str] = None
 
     def __post_init__(self):
+        # YAML reads 1000.0 as a float and yes as a bool: reject both here,
+        # not deep inside trial 0.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "sigma2" and value is None)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not all(map(_is_real, self.q0_center)):
+            raise ConfigError(f"q0_center must be a list of real numbers, got {self.q0_center!r}")
         if self.objective not in benchmark_names():
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.dimension < 1:
@@ -88,8 +111,16 @@ class ExperimentSpec:
             raise ConfigError("q0_center length must equal dimension")
         if not self.q0_variance > 0:
             raise ConfigError("q0_variance must be positive")
+        if not self.alpha0 > 0:
+            raise ConfigError("alpha0 must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if not 0.0 <= self.mixture_weight <= 1.0:
+            raise ConfigError("mixture_weight must lie in [0, 1]")
         if self.sigma2 is None:
             self.sigma2 = 1.0 / self.dimension
+        elif not self.sigma2 > 0:
+            raise ConfigError("sigma2 must be positive")
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentSpec":
@@ -104,7 +135,7 @@ class ExperimentSpec:
             raise ConfigError(f"{path}: unknown keys {unknown} (silent typos corrupt experiments)")
         try:
             return cls(**raw)
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     def to_yaml(self, path: str) -> None:
@@ -191,7 +222,10 @@ def _worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"LISOPT_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -220,9 +254,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 for key, fut in futures.items():
                     results[key] = fut.result()
     except Exception as exc:
-        failing = next(
-            (k for k in tasks if k not in results or _failed(results.get(k))), None
-        )
+        failing = next((k for k in tasks if k not in results), None)
         trial = failing[1] if failing else -1
         raise RuntimeError(
             f"experiment aborted; replay with derived seed "
@@ -258,10 +290,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     return ExperimentReport(
         methods=methods, metadata=metadata, single_trial=(spec.trials == 1)
     )
-
-
-def _failed(value) -> bool:
-    return value is None
 
 
 # ----------------------------------------------------------------------

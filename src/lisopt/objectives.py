@@ -17,6 +17,11 @@ import numpy as np
 Array = np.ndarray
 
 
+# Seconds a child may take to finish up before it is killed: to exit once its
+# input is closed, or to read the rest of a batch it has answered in full.
+_CHILD_GRACE_S = 5
+
+
 class EvaluationError(RuntimeError):
     """An objective evaluation failed (bad input, broken child process, ...)."""
 
@@ -187,9 +192,11 @@ class ExternalObjective(Objective):
     written by a background thread while the m answers are read, so a batch
     larger than the pipe buffer cannot deadlock.  The child must therefore
     answer lines in order and flush each answer without waiting for more
-    input.  Any error in the middle of a batch kills the child, because its
-    unread answers would pair later requests with stale responses; every
-    later call then fails with "child process has exited".
+    input, and read every line of a batch: once all answers are in, a child
+    still not reading after 5 s is killed.  Any error in the middle of a batch
+    kills the child, because its unread answers would pair later requests
+    with stale responses; every later call then fails with "child process has
+    exited".
 
     The child is single-threaded: concurrent use requires one child per
     worker.  Call :meth:`close` (or use as a context manager) to terminate
@@ -250,7 +257,17 @@ class ExternalObjective(Objective):
             writer.join()
             self.close()
             raise
-        writer.join()
+        # A child that has answered every line has read every line, so the
+        # writer is done; one still writing means the child ignores its input.
+        writer.join(timeout=_CHILD_GRACE_S)
+        if writer.is_alive():
+            self._proc.kill()
+            writer.join()
+            self.close()
+            raise EvaluationError(
+                f"child answered all {len(points)} lines without reading them "
+                f"within {_CHILD_GRACE_S} s"
+            )
         if failures:
             self.close()
             raise EvaluationError(f"child pipe failure: {failures[0]}") from failures[0]
@@ -264,7 +281,7 @@ class ExternalObjective(Objective):
         except OSError:  # unsent input to a dead child is dropped
             pass
         try:
-            proc.wait(timeout=5)
+            proc.wait(timeout=_CHILD_GRACE_S)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

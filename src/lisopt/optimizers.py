@@ -16,12 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import IsotropicGaussian, MixturePolicy, make_rng
-from .estimators import (
-    DegenerateWeightsError,
-    effective_sample_size,
-    laplace_log_weights,
-    self_normalized_average,
-)
+from .estimators import _kish_ess, _log_weights_into, _normalize_into, _weighted_sum
 from .objectives import Objective
 
 Array = np.ndarray
@@ -87,6 +82,8 @@ class StaticConfig:
             raise ValueError("budget must be >= 1")
         if not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
+        if self.fixed_alpha is not None and not self.fixed_alpha > 0:
+            raise ValueError("fixed_alpha must be positive")
 
 
 @dataclass
@@ -138,6 +135,36 @@ def _squared_errors(estimates: Array, objective: Objective) -> Optional[Array]:
     return np.sum(diff * diff, axis=1)
 
 
+def _checked_log_density(policy, batch: Array) -> Array:
+    logq = policy.log_density_batch(batch)
+    if not np.all(np.isfinite(logq)):
+        raise ValueError("sample log-densities must be finite")
+    return logq
+
+
+def _softmin_estimate(
+    alpha: float,
+    points: Array,
+    values: Array,
+    logq: Array,
+    ref: float,
+    scratch: Array,
+    with_ess: bool,
+) -> Optional[Tuple[Array, float]]:
+    """Softmin average of a cached prefix, and its ESS when asked (else NaN).
+
+    ``ref`` is the smallest value in the prefix.  The log-weights and then the
+    normalized weights are built in place in ``scratch``, so the average and
+    the ESS come from the same weights.  Returns None when every value is
+    +inf, i.e. every weight vanishes.
+    """
+    if ref == np.inf:
+        return None
+    lw = _log_weights_into(scratch[:values.size], alpha, values, logq, ref)
+    p = _normalize_into(lw)
+    return _weighted_sum(p, points), (_kish_ess(p) if with_ess else math.nan)
+
+
 def run_liso(objective: Objective, config: StaticConfig) -> Tuple[Array, RunTrace]:
     """Non-adaptive softmin averaging over one i.i.d. sample batch.
 
@@ -146,10 +173,11 @@ def run_liso(objective: Objective, config: StaticConfig) -> Tuple[Array, RunTrac
     Degenerate weights (all -inf) fall back to the argmin sample.
     """
     d = objective.dimension
+    n = config.budget
     rng = make_rng(config.seed)
-    points = config.q0.sample(rng, config.budget)
+    points = config.q0.sample(rng, n)
     values = objective.evaluate_batch(points)
-    logq = config.q0.log_density_batch(points)
+    logq = _checked_log_density(config.q0, points)
     checkpoints = _resolve_checkpoints(config)
 
     estimates = np.empty((checkpoints.size, d))
@@ -160,14 +188,17 @@ def run_liso(objective: Objective, config: StaticConfig) -> Tuple[Array, RunTrac
             alpha = config.fixed_alpha
         else:
             alpha = alpha_schedule(config.alpha0, int(k), d)
-        lw = laplace_log_weights(alpha, values[:k], logq[:k])
-        try:
-            estimates[j] = self_normalized_average(points[:k], lw)
-            ess[j] = effective_sample_size(lw)
-        except DegenerateWeightsError:
+        # One buffer per checkpoint, not one held for the whole run: across
+        # many short runs the held one raised the peak RSS (heap fragmentation).
+        result = _softmin_estimate(
+            alpha, points[:k], values[:k], logq[:k], np.min(values[:k]), np.empty(k), True
+        )
+        if result is None:
             estimates[j] = points[np.argmin(values[:k])]
-            if k == config.budget:
+            if k == n:
                 degenerate_final = True
+        else:
+            estimates[j], ess[j] = result
 
     trace = RunTrace(
         checkpoints=checkpoints,
@@ -214,39 +245,47 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
 
     Batches of size B are drawn from q_{k-1}; the first batch comes from q0
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
-    Objective values and sampling log-densities are cached once per point;
-    only the -alpha * f term is recomputed when the temperature advances.
+    Objective values and sampling log-densities are cached once per point and
+    validated when the batch is evaluated; only the -alpha * f term is
+    recomputed when the temperature advances.
+
+    Every re-weighting of a prefix of c points runs in place in one scratch
+    buffer of length budget.  Its log-weights are anchored at the prefix
+    minimum ``prefix_min[c - 1]``, kept per point with a running minimum, so
+    a checkpoint inside a batch uses the best value among its own c points.
+    A checkpoint that falls on a batch boundary also serves as the next
+    center.  Random search keeps the index of the first best value instead.
     """
     d = objective.dimension
     n = config.budget
     B = config.batch_size
+    box = config.projection_box
     rng = make_rng(config.seed)
     checkpoints = _resolve_checkpoints(config)
 
     points = np.empty((n, d))
     values = np.empty(n)
-    logq = np.empty(n)
+    if use_softmin:
+        logq = np.empty(n)
+        prefix_min = np.empty(n)
+        scratch = np.empty(n)
 
     estimates = np.empty((checkpoints.size, d))
     ess = np.full(checkpoints.size, np.nan)
     degenerate_final = False
+    best = 0  # random search: index of the first best value so far
 
-    def estimate_at(c: int, j: Optional[int]) -> Array:
+    def softmin_at(c: int, with_ess: bool) -> Tuple[Array, float]:
         nonlocal degenerate_final
-        if use_softmin:
-            alpha = alpha_schedule(config.alpha0, c, d)
-            lw = laplace_log_weights(alpha, values[:c], logq[:c])
-            try:
-                est = self_normalized_average(points[:c], lw)
-                if j is not None:
-                    ess[j] = effective_sample_size(lw)
-            except DegenerateWeightsError:
-                est = points[np.argmin(values[:c])]
-                if c == n:
-                    degenerate_final = True
-        else:
-            est = points[np.argmin(values[:c])]
-        return _project(est, config.projection_box)
+        alpha = alpha_schedule(config.alpha0, c, d)
+        result = _softmin_estimate(
+            alpha, points[:c], values[:c], logq[:c], prefix_min[c - 1], scratch, with_ess
+        )
+        if result is None:
+            if c == n:
+                degenerate_final = True
+            return points[np.argmin(values[:c])], math.nan
+        return result
 
     mu = None
     filled = 0
@@ -262,17 +301,37 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
                 envelope=config.q0,
             )
         batch = policy.sample(rng, b)
-        points[filled:filled + b] = batch
-        values[filled:filled + b] = objective.evaluate_batch(batch)
-        logq[filled:filled + b] = policy.log_density_batch(batch)
-        filled += b
+        lo, filled = filled, filled + b
+        points[lo:filled] = batch
+        values[lo:filled] = objective.evaluate_batch(batch)
+        if use_softmin:
+            logq[lo:filled] = _checked_log_density(policy, batch)
+            # Seeding the scan with the previous prefix minimum carries it on.
+            prefix_min[lo:filled] = values[lo:filled]
+            run = prefix_min[max(lo - 1, 0):filled]
+            np.minimum.accumulate(run, out=run)
+        else:
+            prev_best = best
+            i = lo + int(np.argmin(values[lo:filled]))
+            if values[i] < values[best]:  # strict: ties keep the lowest index
+                best = i
 
         while next_cp < checkpoints.size and checkpoints[next_cp] <= filled:
             c = int(checkpoints[next_cp])
-            estimates[next_cp] = estimate_at(c, next_cp)
+            if use_softmin:
+                est, ess[next_cp] = softmin_at(c, True)
+            else:
+                i = lo + int(np.argmin(values[lo:c]))
+                est = points[i if values[i] < values[prev_best] else prev_best]
+            estimates[next_cp] = _project(est, box)
             next_cp += 1
 
-        mu = estimate_at(filled, None)
+        if next_cp and checkpoints[next_cp - 1] == filled:
+            mu = estimates[next_cp - 1].copy()
+        elif use_softmin:
+            mu = _project(softmin_at(filled, False)[0], box)
+        else:
+            mu = _project(points[best], box)
 
     trace = RunTrace(
         checkpoints=checkpoints,
@@ -368,8 +427,11 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
                 estimates[next_cp] = mu
             next_cp += 1
 
-        mu = _recombine(batch, batch_values, config.normalize_es_weights)
         filled += b
+        if next_cp and checkpoints[next_cp - 1] == filled:
+            mu = estimates[next_cp - 1].copy()
+        else:
+            mu = _recombine(batch, batch_values, config.normalize_es_weights)
 
     trace = RunTrace(
         checkpoints=checkpoints,

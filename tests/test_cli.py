@@ -156,6 +156,21 @@ def test_bench_unknown_key_is_usage_error(tmp_path, capsys):
     assert "bad_key" in err
 
 
+def test_bench_float_budget_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    spec = ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=1000,
+                          seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                          trials=2)
+    spec.to_yaml(str(config))
+    config.write_text(config.read_text().replace("budget: 1000", "budget: 1000.0"))
+    code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                           "--csv-out", str(tmp_path / "r.csv"),
+                           "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2
+    assert "budget must be an integer" in err and "trial" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ----------------------------------------------------------------------
 # oracle
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lisopt import (
     parse_csv,
     run_experiment,
 )
-from lisopt.harness import ConfigError, csv_string, svg_string
+from lisopt.harness import ConfigError, _worker_count, csv_string, svg_string
 
 
 def small_spec(**overrides):
@@ -78,6 +79,36 @@ def test_yaml_round_trip_and_unknown_key_rejection(tmp_path):
         ExperimentSpec.from_yaml(str(path))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("budget", 1000.0),
+    ("dimension", True),
+    ("seed", "7"),
+    ("trials", 4.0),
+    ("batch_size", None),
+    ("checkpoint_start", 50.5),
+    ("checkpoint_count", False),
+    ("alpha0", "1.0"),
+    ("alpha0", True),
+    ("q0_variance", None),
+    ("mixture_weight", "0"),
+    ("sigma2", [0.5]),
+    ("q0_center", [0.7, "0.7"]),
+    ("q0_center", "0.7"),
+])
+def test_spec_field_types_are_checked(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_spec(**{field: value})
+
+
+def test_spec_ranges_are_checked():
+    for field, value in (("alpha0", 0.0), ("batch_size", 0), ("mixture_weight", 1.5),
+                         ("sigma2", -1.0)):
+        with pytest.raises(ConfigError, match=field):
+            small_spec(**{field: value})
+    # numpy integers and plain ints both count as integers
+    assert small_spec(budget=np.int64(400), alpha0=2).budget == 400
+
+
 def test_sigma2_defaults_to_inverse_dimension():
     assert small_spec(dimension=2, q0_center=[0.0, 0.0]).sigma2 == 0.5
 
@@ -117,6 +148,13 @@ def test_bad_worker_count_names_the_variable(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "abc")
     with pytest.raises(ConfigError, match="LISOPT_WORKERS"):
         run_experiment(small_spec())
+
+
+def test_default_worker_count_is_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LISOPT_WORKERS", raising=False)
+    expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+    assert _worker_count() == expected
 
 
 def test_methods_share_checkpoints(monkeypatch):

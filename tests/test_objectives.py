@@ -139,6 +139,11 @@ EXIT_AFTER_10_STUB = [sys.executable, "-u", "-c", (
     "    sys.stdin.readline(); print('1.0'); sys.stdout.flush()\n"
 )]
 
+ANSWER_WITHOUT_READING_STUB = [sys.executable, "-u", "-c", (
+    "while True:\n"
+    "    print('0.0', flush=True)\n"
+)]
+
 GARBAGE_AT_5_STUB = [sys.executable, "-u", "-c", (
     "import sys\n"
     "for i, line in enumerate(sys.stdin):\n"
@@ -226,3 +231,20 @@ def test_external_error_mid_batch_closes_the_objective():
         with pytest.raises(EvaluationError, match="child process has exited"):
             obj(np.zeros(2))
         assert obj.eval_count == 0
+
+
+def test_external_child_that_never_reads_is_killed():
+    # The answers arrive at once, but ~1.5 MB of requests never leave the
+    # writer: the child must be killed after the grace period instead of the
+    # writer being joined forever.
+    def evaluate():
+        with external_objective(ANSWER_WITHOUT_READING_STUB, 4) as obj:
+            with pytest.raises(EvaluationError, match="without reading"):
+                obj.evaluate_batch(np.ones((20_000, 4)))
+            assert obj._proc.poll() is not None
+            with pytest.raises(EvaluationError, match="child process has exited"):
+                obj(np.zeros(4))
+            assert obj.eval_count == 0
+        return True
+
+    assert finish_within(30, evaluate)
