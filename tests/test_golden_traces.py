@@ -5,7 +5,9 @@ squared errors and ESS, and the degenerate-fallback flag.  The specs put
 checkpoints in the middle of a batch, on a batch boundary and in a final
 partial batch, and cover mixture weights 0 and 0.3, a projection box, a fixed
 temperature, an objective returning some +inf, and one whose first batch is
-all +inf so that the degenerate fallback runs.
+all +inf so that the degenerate fallback runs.  Most specs are 3-dimensional;
+three more cover d = 1, 8 and 12, on both sides of numpy's switch to pairwise
+summation at eight elements per row.
 
 Refactors of the weighting arithmetic must leave every digest unchanged.
 The bits depend on numpy's SIMD kernels, so the digests only apply on the
@@ -44,7 +46,6 @@ RECORDED_ON = "x86_64 python3.11 numpy2.4.6 simd:X86_V3,X86_V4,AVX512_ICL,AVX512
 # Batches of 300 end at 300, 600, 900 and 1000 (a partial batch): 300 and 600
 # are batch boundaries, the others fall inside a batch.
 CHECKPOINTS = [1, 50, 300, 323, 450, 600, 777, 1000]
-Q0 = IsotropicGaussian(mean=np.full(3, 2.0), variance=0.5)
 BOX = (np.full(3, -0.5), np.full(3, 0.8))
 
 
@@ -88,6 +89,10 @@ CASES = {
                         {}, {"mixture_weight": 0.3}),
     "all_inf": (_all_inf, 1000, CHECKPOINTS, {}, {}),
     "default_grid": (lambda: benchmark("sphere", 3), 3100, None, {}, {}),
+    "sphere_mixture_d8": (lambda: benchmark("sphere", 8), 1000, CHECKPOINTS,
+                          {}, {"mixture_weight": 0.3}),
+    "rastrigin_d12": (lambda: benchmark("rastrigin", 12), 1000, CHECKPOINTS, {}, {}),
+    "ackley_d1": (lambda: benchmark("ackley", 1), 1000, CHECKPOINTS, {}, {}),
 }
 
 DRIVERS = {
@@ -99,6 +104,11 @@ DRIVERS = {
 }
 
 GOLDEN = {
+    "ackley_d1/adaptive_liso": "6e0acfa011af612d640556e4aaff82767b4884bb1ff7c2c1182b950591da2325",
+    "ackley_d1/adaptive_random_search": "01d8d0079017942a25daa189ee3d2e34018c68ad919e92f6edd69680428cc463",
+    "ackley_d1/isotropic_es": "1f88b9a49e7d203c41b50e4479b1ed7b7e68d16447d0a89152a3ddd20b3e1c3b",
+    "ackley_d1/liso": "edd9d62470b2e0e66f38f5676b656f4d91d7e79fedf393ca525da6763e1ea0d2",
+    "ackley_d1/random_search": "99247601ff5316cc286ae5fea508893f009918e8c2e0107ab83759c44fd14835",
     "ackley_fixed_alpha/adaptive_liso": "95129df3d344110e64541d90139adfa63981d461d84552e717d4a8837ee0f078",
     "ackley_fixed_alpha/adaptive_random_search": "51836f6bfd2f6e057126e2e3e6e45b9d57f89a9795105896203318353f5bfa9b",
     "ackley_fixed_alpha/isotropic_es": "f3535eec08d16ee90d772cef3d3fe107404ee93eece82268c0fb402cc71ae013",
@@ -129,6 +139,11 @@ GOLDEN = {
     "rastrigin_box/isotropic_es": "e8efb2c50f2f45c0bbee1633e3a2a07ffd8771fc602ad29b3007cab29d11f958",
     "rastrigin_box/liso": "550712827041c58cc1631f71547264670d9c6f607926f07a514b2d7abcae992b",
     "rastrigin_box/random_search": "e510e3983939c4559628f7b8a4df1f65e32822d17152bedda3bd718cd155bf21",
+    "rastrigin_d12/adaptive_liso": "abf083e6b1b7d3a6aec2cd9471b74dbef220b1fd12034600cb7c462858982136",
+    "rastrigin_d12/adaptive_random_search": "0d1a1eb0a187719ceb9d17b384efb958baec996d092c3d656a8161e35d1e6ec1",
+    "rastrigin_d12/isotropic_es": "1640cd414e4faab9baa39b2d6693e07476c2856a1a4d07f1cf50256096bbfbd9",
+    "rastrigin_d12/liso": "a726da7701bcb6f74e6335fc17e52943e36e34a3d9a439756f7f07893e5e149d",
+    "rastrigin_d12/random_search": "d5d3d029ab01c94c155c7b4e601c9d2c0173bf0526a599116d8c082afea8cf3d",
     "sphere/adaptive_liso": "cd0da75b664e4297bd1a3a4f16f246e0772d3c564ba16d9cc6ab9e14432c917d",
     "sphere/adaptive_random_search": "2680607889f9b2939c90f1767587bbd99655e7a59c21c79064b03898ca85039c",
     "sphere/isotropic_es": "e0033a6a617ce77d0fc2d1471338451330a57b2b1cfba0d2b6e7c35ccb51478a",
@@ -139,19 +154,25 @@ GOLDEN = {
     "sphere_mixture/isotropic_es": "e0033a6a617ce77d0fc2d1471338451330a57b2b1cfba0d2b6e7c35ccb51478a",
     "sphere_mixture/liso": "a0b6e20edd9edb2aa69fd4d10a9c42af25acc97a277d376cd151797b067eafa9",
     "sphere_mixture/random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
+    "sphere_mixture_d8/adaptive_liso": "9457b710b4503f9a7dc3bbfde708154823b3a21090c22bfcbbccbd4a995e802e",
+    "sphere_mixture_d8/adaptive_random_search": "137abb122c6da28e999c3cb575b11c23fce63e8856a444c6c9f2ad5b13d8892b",
+    "sphere_mixture_d8/isotropic_es": "9b54e59876e80b93dd271789e8d3fe6a007b1e1a78318fa634c45294fccbb4df",
+    "sphere_mixture_d8/liso": "e64782ee07d65b5e26936cfaf194cff719ae6621e6bcfdafe3d098f3505b382b",
+    "sphere_mixture_d8/random_search": "2fb9107a90575465bf07776ae9a1f8f22d2ddad4d330fb0db38f0377f31175c4",
 }
 
 
 def run_case(case, driver_name):
     make_objective, budget, checkpoints, static_kw, adaptive_kw = CASES[case]
     driver, is_static = DRIVERS[driver_name]
+    objective = make_objective()
+    q0 = IsotropicGaussian(mean=np.full(objective.dimension, 2.0), variance=0.5)
     if is_static:
-        config = StaticConfig(budget=budget, alpha0=1.0, q0=Q0, seed=5,
+        config = StaticConfig(budget=budget, alpha0=1.0, q0=q0, seed=5,
                               checkpoints=checkpoints, **static_kw)
     else:
-        config = AdaptiveConfig(budget=budget, alpha0=1.0, q0=Q0, seed=5, sigma2=0.4,
+        config = AdaptiveConfig(budget=budget, alpha0=1.0, q0=q0, seed=5, sigma2=0.4,
                                 batch_size=300, checkpoints=checkpoints, **adaptive_kw)
-    objective = make_objective()
     estimate, trace = driver(objective, config)
     assert objective.eval_count == budget
     return estimate, trace
