@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -93,7 +94,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_bench(args) -> int:
     spec = ExperimentSpec.from_yaml(args.config)
     if args.trials is not None:
-        spec.trials = args.trials
+        spec = dataclasses.replace(spec, trials=args.trials)
     report = run_experiment(spec)
     csv_path = args.csv_out or spec.csv_out or "report.csv"
     svg_path = args.svg_out or spec.svg_out or "report.svg"

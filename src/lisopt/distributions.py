@@ -9,6 +9,12 @@ for a given seed, across runs and platforms.  Per-trial streams are derived
 with :func:`derive_stream` (seed XOR a splitmix64 hash of the trial index),
 so trials are reproducible independently and in parallel.
 
+Sampling is affine: a policy scales a block of standard normals by its
+standard deviations and adds its means, in place in the block it drew.  That
+is the same two roundings per element as ``mean + std * z``, so the samples
+are bit-identical to the out-of-place formula.  Log-densities likewise square
+and sum in place, with the fixed-order row sum of :mod:`lisopt.estimators`.
+
 Policies are immutable after construction and safe to share between workers;
 generators are never shared.
 """
@@ -19,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .estimators import _row_sum
 
 Array = np.ndarray
 
@@ -80,14 +88,19 @@ class IsotropicGaussian:
 
     def log_density_batch(self, points: Array) -> Array:
         d = self.dimension
-        sq = np.sum((points - self.mean) ** 2, axis=1)
-        return -0.5 * d * np.log(2.0 * np.pi * self.variance) - sq / (2.0 * self.variance)
+        y = points - self.mean
+        y *= y
+        sq = _row_sum(y)
+        sq /= 2.0 * self.variance
+        return np.subtract(-0.5 * d * np.log(2.0 * np.pi * self.variance), sq, out=sq)
 
     def sample(self, rng: np.random.Generator, count: int) -> Array:
         if count < 1:
             raise ValueError("count must be >= 1")
         z = rng.standard_normal((count, self.dimension))
-        return self.mean + math.sqrt(self.variance) * z
+        z *= math.sqrt(self.variance)
+        z += self.mean
+        return z
 
 
 @dataclass(frozen=True)
@@ -144,4 +157,6 @@ class MixturePolicy:
             math.sqrt(self.envelope.variance),
             math.sqrt(self.adapted.variance),
         )
-        return means + stds[:, None] * z
+        z *= stds[:, None]
+        z += means
+        return z

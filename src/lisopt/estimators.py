@@ -7,12 +7,14 @@ long before the interesting regime.
 
 Each formula is implemented once, as an in-place step on a caller-owned
 buffer: ``_log_weights_into``, ``_normalize_into``, ``_weighted_sum`` and
-``_kish_ess``.  The public functions validate their inputs and run these
-steps on fresh arrays.  The softmin drivers validate values and log-densities
-once, when each batch is evaluated, not on every re-weighting, and run the
-steps on one buffer per estimate; the adaptive driver re-weights its whole
-prefix after every batch, so it keeps one scratch buffer of length ``budget``
-and anchors each prefix at a running prefix minimum.
+``_kish_ess``.  ``_row_sum`` is the fixed-order row sum that the objectives
+and the sampling densities use on their (n, d) arrays.  The public functions
+validate their inputs and run these steps on fresh arrays.  The softmin
+drivers validate values and log-densities once, when each batch is evaluated,
+not on every re-weighting, and run the steps on one buffer per estimate; the
+adaptive driver re-weights its whole prefix after every batch, so it keeps one
+scratch buffer of length ``budget`` and anchors each prefix at a running
+prefix minimum.
 """
 
 from __future__ import annotations
@@ -62,6 +64,26 @@ def _weighted_sum(p: Array, points: Array) -> Array:
     for start in range(b, p.size, b):
         total += p[start:start + b] @ points[start:start + b]
     return total
+
+
+def _row_sum(a: Array) -> Array:
+    """np.sum(a, axis=1) for a 2-d float array, with the same bits, faster at small d.
+
+    Below eight elements per row numpy sums each row left to right, starting
+    from +0.0, but it enters its reduction loop once per row, which dominates
+    when d is tiny.  Adding whole columns in order gives the same roundings
+    with one pass per column; starting from ``a[:, 0] + 0.0`` turns a -0.0
+    into +0.0 as numpy's start value does.  From eight elements on numpy sums
+    pairwise with eight accumulators, a different order, so ``np.sum`` is
+    called as it is.
+    """
+    d = a.shape[1]
+    if d >= 8:
+        return np.sum(a, axis=1)
+    out = a[:, 0] + 0.0
+    for j in range(1, d):
+        out += a[:, j]
+    return out
 
 
 def _kish_ess(p: Array) -> float:

@@ -115,6 +115,8 @@ class ExperimentSpec:
             raise ConfigError("alpha0 must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if "isotropic_es" in self.methods and self.batch_size < 2:
+            raise ConfigError("isotropic_es requires batch_size >= 2")
         if not 0.0 <= self.mixture_weight <= 1.0:
             raise ConfigError("mixture_weight must lie in [0, 1]")
         if self.sigma2 is None:

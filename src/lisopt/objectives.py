@@ -14,6 +14,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .estimators import _row_sum
+
 Array = np.ndarray
 
 
@@ -126,18 +128,18 @@ def ackley(x) -> float:
 
 
 def _sphere_batch(points: Array) -> Array:
-    return np.sum(points * points, axis=1)
+    return _row_sum(points * points)
 
 
 def _rastrigin_batch(points: Array) -> Array:
     d = points.shape[1]
-    return 10.0 * d + np.sum(4.0 * points**2 - 10.0 * np.cos(np.pi * points), axis=1)
+    return 10.0 * d + _row_sum(4.0 * points**2 - 10.0 * np.cos(np.pi * points))
 
 
 def _ackley_batch(points: Array) -> Array:
     d = points.shape[1]
-    rms = np.sqrt(np.sum(points * points, axis=1) / d)
-    cos_mean = np.sum(np.cos(2.0 * np.pi * points), axis=1) / d
+    rms = np.sqrt(_row_sum(points * points) / d)
+    cos_mean = _row_sum(np.cos(2.0 * np.pi * points)) / d
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + math.e
 
 

@@ -171,6 +171,35 @@ def test_bench_float_budget_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_bench_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
+    config = tmp_path / "exp.yaml"
+    ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=100,
+                   seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                   trials=2).to_yaml(str(config))
+    code, _, err = run_cli(capsys, "bench", "--config", str(config), "--trials", trials,
+                           "--csv-out", str(tmp_path / "r.csv"),
+                           "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2
+    assert "trials must be >= 1" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_isotropic_es_batch_of_one_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text(
+        "objective: sphere\ndimension: 2\nmethods: [liso, isotropic_es]\n"
+        "budget: 200\nseed: 1\nalpha0: 1.0\nq0_center: [0.5, 0.5]\n"
+        "q0_variance: 1.0\ntrials: 2\nbatch_size: 1\n"
+    )
+    code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                           "--csv-out", str(tmp_path / "r.csv"),
+                           "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2
+    assert "isotropic_es requires batch_size >= 2" in err and "trial" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ----------------------------------------------------------------------
 # oracle
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 import lisopt
 from lisopt import (
     DegenerateWeightsError,
+    IsotropicGaussian,
+    MixturePolicy,
     bootstrap_stderr,
     effective_sample_size,
     laplace_log_weights,
@@ -19,6 +21,7 @@ from lisopt import (
     normalized_weights,
     self_normalized_average,
 )
+from lisopt.estimators import _row_sum
 
 
 def test_log_weights_all_terms_vanish():
@@ -166,3 +169,89 @@ def test_average_is_blas_thread_count_invariant():
                              capture_output=True, text=True, timeout=120, check=True)
         digests.append(out.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# ----------------------------------------------------------------------
+# Fixed-order row sums and the in-place sampling kernels
+# ----------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _extreme_rows(n, d, rng):
+    """Signed magnitudes from 1e-300 to 1e300, with some +inf and signed zeros."""
+    a = 10.0 ** rng.uniform(-300, 300, (n, d)) * rng.choice([-1.0, 1.0], (n, d))
+    a[rng.random((n, d)) < 0.01] = np.inf
+    a[rng.random((n, d)) < 0.01] = 0.0
+    a[rng.random((n, d)) < 0.01] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 300, 100_000])
+def test_row_sum_matches_numpy_bit_for_bit(n):
+    # The golden traces skip on another numpy; this pins the one assumption
+    # _row_sum makes about numpy's reduction order wherever the suite runs.
+    rng = np.random.default_rng(n)
+    for d in range(1, 21):
+        a = _extreme_rows(n, d, rng)
+        if n == 1:
+            a[0, :2] = -0.0  # a row of signed zeros sums to +0.0 in numpy
+        layouts = {
+            "C": a,
+            "F": np.asfortranarray(a),
+            "strided columns": np.repeat(a, 2, axis=1)[:, ::2],
+            "strided rows": np.repeat(a, 2, axis=0)[::2],
+        }
+        for layout, view in layouts.items():
+            assert _same_bits(_row_sum(view), np.sum(view, axis=1)), (d, layout)
+        normal = rng.standard_normal((n, d))
+        assert _same_bits(_row_sum(normal), np.sum(normal, axis=1)), d
+
+
+def _old_isotropic_log_density(g, points):
+    sq = np.sum((points - g.mean) ** 2, axis=1)
+    return -0.5 * g.dimension * np.log(2.0 * np.pi * g.variance) - sq / (2.0 * g.variance)
+
+
+@pytest.mark.parametrize("d", [1, 4, 8, 12])
+def test_isotropic_kernels_match_the_one_line_formulas(d):
+    g = IsotropicGaussian(mean=np.linspace(-3.0, 2.0, d), variance=0.37)
+    x = g.sample(make_rng(11), 5000)
+    z = make_rng(11).standard_normal((5000, d))
+    assert _same_bits(x, g.mean + math.sqrt(g.variance) * z)
+    points = x * 3.0 + 1.0
+    assert _same_bits(g.log_density_batch(points), _old_isotropic_log_density(g, points))
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("d", [1, 4, 8, 12])
+def test_mixture_kernels_match_the_one_line_formulas(d, weight):
+    adapted = IsotropicGaussian(mean=np.full(d, 0.25), variance=0.1)
+    envelope = IsotropicGaussian(mean=np.linspace(-1.0, 1.0, d), variance=2.0)
+    policy = MixturePolicy(weight=weight, adapted=adapted, envelope=envelope)
+    x = policy.sample(make_rng(12), 5000)
+    rng = make_rng(12)
+    if weight in (0.0, 1.0):
+        g = envelope if weight else adapted
+        expected = g.mean + math.sqrt(g.variance) * rng.standard_normal((5000, d))
+    else:
+        pick = rng.random(5000) < weight
+        z = rng.standard_normal((5000, d))
+        means = np.where(pick[:, None], envelope.mean, adapted.mean)
+        stds = np.where(pick, math.sqrt(envelope.variance), math.sqrt(adapted.variance))
+        expected = means + stds[:, None] * z
+    assert _same_bits(x, expected)
+
+    a = _old_isotropic_log_density(adapted, x)
+    b = _old_isotropic_log_density(envelope, x)
+    if weight == 0.0:
+        expected = a
+    elif weight == 1.0:
+        expected = b
+    else:
+        a = a + math.log1p(-weight)
+        b = b + math.log(weight)
+        m = np.maximum(a, b)
+        expected = m + np.log(np.exp(a - m) + np.exp(b - m))
+    assert _same_bits(policy.log_density_batch(x), expected)

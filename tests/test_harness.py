@@ -109,6 +109,13 @@ def test_spec_ranges_are_checked():
     assert small_spec(budget=np.int64(400), alpha0=2).budget == 400
 
 
+def test_isotropic_es_needs_a_batch_of_two():
+    with pytest.raises(ConfigError, match="isotropic_es requires batch_size >= 2"):
+        small_spec(methods=["liso", "isotropic_es"], batch_size=1)
+    assert small_spec(methods=["isotropic_es"], batch_size=2).batch_size == 2
+    assert small_spec(methods=["adaptive_liso"], batch_size=1).batch_size == 1
+
+
 def test_sigma2_defaults_to_inverse_dimension():
     assert small_spec(dimension=2, q0_center=[0.0, 0.0]).sigma2 == 0.5
 
