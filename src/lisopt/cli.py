@@ -28,16 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .objectives import benchmark, benchmark_names, external_objective, format_float
-from .optimizers import (
-    METHOD_NAMES,
-    AdaptiveConfig,
-    StaticConfig,
-    run_adaptive_liso,
-    run_adaptive_random_search,
-    run_isotropic_es,
-    run_liso,
-    run_random_search,
-)
+from .optimizers import METHODS, AdaptiveConfig
 from .oracle import (
     CUBIC_DOMAIN,
     QuadratureSpec,
@@ -46,13 +37,8 @@ from .oracle import (
     laplace_gap,
 )
 
-_DRIVERS = {
-    "liso": (run_liso, True),
-    "random_search": (run_random_search, True),
-    "adaptive_liso": (run_adaptive_liso, False),
-    "adaptive_random_search": (run_adaptive_random_search, False),
-    "isotropic_es": (run_isotropic_es, False),
-}
+# The method registry itself; perfbench/tracing.py wraps its drivers under this name.
+_DRIVERS = METHODS
 
 _ORACLE_FUNCTIONS = {
     "quad-cubic": (cubic_perturbed_quadratic, CUBIC_DOMAIN, np.zeros(1)),
@@ -70,15 +56,11 @@ def _cmd_optimize(args) -> int:
     if center.size != d:
         raise SystemExit2("q0-center length must equal --d")
     q0 = IsotropicGaussian(mean=center, variance=args.q0_var)
-    driver, is_static = _DRIVERS[args.method]
-    if is_static:
-        config = StaticConfig(budget=args.n, alpha0=args.alpha0, q0=q0, seed=args.seed)
-    else:
-        config = AdaptiveConfig(
-            budget=args.n, alpha0=args.alpha0, q0=q0, seed=args.seed,
-            sigma2=args.sigma2 if args.sigma2 is not None else 1.0 / d,
-            mixture_weight=args.mixture_weight, batch_size=args.batch_size,
-        )
+    config = AdaptiveConfig(
+        budget=args.n, alpha0=args.alpha0, q0=q0, seed=args.seed, sigma2=args.sigma2,
+        mixture_weight=args.mixture_weight, batch_size=args.batch_size,
+    )
+    driver, _ = METHODS[args.method]
     if args.external:
         with external_objective(args.external, d) as objective:
             estimate, _ = driver(objective, config)
@@ -142,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external", metavar="COMMAND",
                    help="shell command for an external line-protocol objective")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--method", choices=METHOD_NAMES, required=True)
+    p.add_argument("--method", choices=tuple(METHODS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha0", type=float, default=1.0)

@@ -11,10 +11,8 @@ buffer: ``_log_weights_into``, ``_normalize_into``, ``_weighted_sum`` and
 and the sampling densities use on their (n, d) arrays.  The public functions
 validate their inputs and run these steps on fresh arrays.  The softmin
 drivers validate values and log-densities once, when each batch is evaluated,
-not on every re-weighting, and run the steps on one buffer per estimate; the
-adaptive driver re-weights its whole prefix after every batch, so it keeps one
-scratch buffer of length ``budget`` and anchors each prefix at a running
-prefix minimum.
+not on every re-weighting, run the steps on one buffer per estimate, and
+anchor each prefix at a running minimum of its values.
 """
 
 from __future__ import annotations

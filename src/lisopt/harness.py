@@ -20,18 +20,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import yaml
 
 from .distributions import IsotropicGaussian, derive_seed
 from .objectives import Objective, benchmark, benchmark_names, format_float
-from .optimizers import (
-    METHOD_NAMES,
-    AdaptiveConfig,
-    StaticConfig,
-    default_checkpoints,
+from .optimizers import METHODS, AdaptiveConfig, default_checkpoints
+# perfbench/tracing.py times the drivers by patching these names on this module.
+from .optimizers import (  # noqa: F401
     run_adaptive_liso,
     run_adaptive_random_search,
     run_isotropic_es,
@@ -42,8 +40,6 @@ from .optimizers import (
 Array = np.ndarray
 
 CSV_HEADER = "method,n_evals,mean_mse,std,ci_half_width,trials"
-
-_STATIC_METHODS = ("liso", "random_search")
 
 
 class ConfigError(ValueError):
@@ -101,12 +97,15 @@ class ExperimentSpec:
         if not self.methods:
             raise ConfigError("method list must be nonempty")
         for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHOD_NAMES}")
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
+        for name in ("checkpoint_start", "checkpoint_count"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if len(self.q0_center) != self.dimension:
             raise ConfigError("q0_center length must equal dimension")
         if not self.q0_variance > 0:
@@ -115,8 +114,10 @@ class ExperimentSpec:
             raise ConfigError("alpha0 must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if "isotropic_es" in self.methods and self.batch_size < 2:
-            raise ConfigError("isotropic_es requires batch_size >= 2")
+        for m in self.methods:
+            least = METHODS[m][1]
+            if self.batch_size < least:
+                raise ConfigError(f"{m} requires batch_size >= {least}")
         if not 0.0 <= self.mixture_weight <= 1.0:
             raise ConfigError("mixture_weight must lie in [0, 1]")
         if self.sigma2 is None:
@@ -191,23 +192,12 @@ def _run_one_trial(spec: ExperimentSpec, method: str, trial: int) -> Array:
     )
     q0 = IsotropicGaussian(mean=np.asarray(spec.q0_center, dtype=float),
                            variance=spec.q0_variance)
-    if method in _STATIC_METHODS:
-        config = StaticConfig(
-            budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=seed,
-            checkpoints=checkpoints,
-        )
-        driver = run_liso if method == "liso" else run_random_search
-    else:
-        config = AdaptiveConfig(
-            budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=seed,
-            sigma2=spec.sigma2, mixture_weight=spec.mixture_weight,
-            batch_size=spec.batch_size, checkpoints=checkpoints,
-        )
-        driver = {
-            "adaptive_liso": run_adaptive_liso,
-            "adaptive_random_search": run_adaptive_random_search,
-            "isotropic_es": run_isotropic_es,
-        }[method]
+    config = AdaptiveConfig(
+        budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=seed,
+        sigma2=spec.sigma2, mixture_weight=spec.mixture_weight,
+        batch_size=spec.batch_size, checkpoints=checkpoints,
+    )
+    driver, _ = METHODS[method]
     _, trace = driver(objective, config)
     if objective.eval_count != spec.budget:
         raise RuntimeError(
@@ -221,9 +211,12 @@ def _worker_count() -> int:
     env = os.environ.get("LISOPT_WORKERS")
     if env is not None:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ConfigError(f"LISOPT_WORKERS must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ConfigError(f"LISOPT_WORKERS must be >= 1, got {env!r}")
+        return workers
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -5,12 +5,19 @@ All drivers share the same contract: they call the objective exactly
 ``budget`` times, are bit-deterministic for a fixed seed, and record an
 anytime estimate (plus squared error when the minimizer is known) at a grid
 of evaluation-count checkpoints.
+
+A static run is the one-batch adaptive run: ``run_liso`` and
+``run_random_search`` are ``run_adaptive_liso`` and
+``run_adaptive_random_search`` with ``batch_size = budget``, so their single
+batch is an i.i.d. sample from q0.  Every driver takes the one config class,
+``AdaptiveConfig`` (``StaticConfig`` is another name for it), and ``METHODS``
+maps each method name to its driver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,14 +27,6 @@ from .estimators import _kish_ess, _log_weights_into, _normalize_into, _weighted
 from .objectives import Objective
 
 Array = np.ndarray
-
-METHOD_NAMES = (
-    "liso",
-    "random_search",
-    "adaptive_liso",
-    "adaptive_random_search",
-    "isotropic_es",
-)
 
 
 def alpha_schedule(alpha0: float, n: int, d: int) -> float:
@@ -69,13 +68,25 @@ class RunTrace:
 
 
 @dataclass
-class StaticConfig:
+class AdaptiveConfig:
+    """Settings of every driver.
+
+    ``sigma2`` (the variance of the adapted sampler) defaults to 1/d, d being
+    q0's dimension.  ``fixed_alpha``, when set, replaces the temperature
+    schedule of the softmin drivers.  The static drivers use one batch of
+    ``budget`` points whatever ``batch_size`` says.
+    """
+
     budget: int
     alpha0: float
     q0: IsotropicGaussian
     seed: int
+    sigma2: Optional[float] = None
+    mixture_weight: float = 0.0
+    batch_size: int = 300
+    projection_box: Optional[Tuple[Array, Array]] = None
     checkpoints: Optional[Sequence[int]] = None
-    fixed_alpha: Optional[float] = None  # overrides the schedule when set
+    fixed_alpha: Optional[float] = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -84,29 +95,11 @@ class StaticConfig:
             raise ValueError("alpha0 must be positive")
         if self.fixed_alpha is not None and not self.fixed_alpha > 0:
             raise ValueError("fixed_alpha must be positive")
-
-
-@dataclass
-class AdaptiveConfig:
-    budget: int
-    alpha0: float
-    q0: IsotropicGaussian
-    seed: int
-    sigma2: float
-    mixture_weight: float = 0.0
-    batch_size: int = 300
-    projection_box: Optional[Tuple[Array, Array]] = None
-    checkpoints: Optional[Sequence[int]] = None
-    normalize_es_weights: bool = True
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
         if not (0.0 <= self.mixture_weight <= 1.0):
             raise ValueError("mixture_weight must lie in [0, 1]")
-        if not self.sigma2 > 0:
+        if self.sigma2 is None:
+            self.sigma2 = 1.0 / self.q0.dimension
+        elif not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -115,6 +108,9 @@ class AdaptiveConfig:
             if lo.shape != hi.shape or np.any(lo > hi):
                 raise ValueError("projection box must be nonempty")
             self.projection_box = (lo, hi)
+
+
+StaticConfig = AdaptiveConfig  # the static drivers take the same settings
 
 
 def _resolve_checkpoints(config) -> Array:
@@ -142,98 +138,6 @@ def _checked_log_density(policy, batch: Array) -> Array:
     return logq
 
 
-def _softmin_estimate(
-    alpha: float,
-    points: Array,
-    values: Array,
-    logq: Array,
-    ref: float,
-    scratch: Array,
-    with_ess: bool,
-) -> Optional[Tuple[Array, float]]:
-    """Softmin average of a cached prefix, and its ESS when asked (else NaN).
-
-    ``ref`` is the smallest value in the prefix.  The log-weights and then the
-    normalized weights are built in place in ``scratch``, so the average and
-    the ESS come from the same weights.  Returns None when every value is
-    +inf, i.e. every weight vanishes.
-    """
-    if ref == np.inf:
-        return None
-    lw = _log_weights_into(scratch[:values.size], alpha, values, logq, ref)
-    p = _normalize_into(lw)
-    return _weighted_sum(p, points), (_kish_ess(p) if with_ess else math.nan)
-
-
-def run_liso(objective: Objective, config: StaticConfig) -> Tuple[Array, RunTrace]:
-    """Non-adaptive softmin averaging over one i.i.d. sample batch.
-
-    At each checkpoint k the trace shows the anytime estimator: softmin
-    average of the first k samples at temperature alpha_schedule(alpha0, k, d).
-    Degenerate weights (all -inf) fall back to the argmin sample.
-    """
-    d = objective.dimension
-    n = config.budget
-    rng = make_rng(config.seed)
-    points = config.q0.sample(rng, n)
-    values = objective.evaluate_batch(points)
-    logq = _checked_log_density(config.q0, points)
-    checkpoints = _resolve_checkpoints(config)
-
-    estimates = np.empty((checkpoints.size, d))
-    ess = np.full(checkpoints.size, np.nan)
-    degenerate_final = False
-    for j, k in enumerate(checkpoints):
-        if config.fixed_alpha is not None:
-            alpha = config.fixed_alpha
-        else:
-            alpha = alpha_schedule(config.alpha0, int(k), d)
-        # One buffer per checkpoint, not one held for the whole run: across
-        # many short runs the held one raised the peak RSS (heap fragmentation).
-        result = _softmin_estimate(
-            alpha, points[:k], values[:k], logq[:k], np.min(values[:k]), np.empty(k), True
-        )
-        if result is None:
-            estimates[j] = points[np.argmin(values[:k])]
-            if k == n:
-                degenerate_final = True
-        else:
-            estimates[j], ess[j] = result
-
-    trace = RunTrace(
-        checkpoints=checkpoints,
-        estimates=estimates,
-        squared_errors=_squared_errors(estimates, objective),
-        ess=ess,
-        degenerate_final=degenerate_final,
-    )
-    return estimates[-1].copy(), trace
-
-
-def run_random_search(objective: Objective, config: StaticConfig) -> Tuple[Array, RunTrace]:
-    """Plain random search: argmin over the same sample stream as run_liso.
-
-    Sharing the stream (same seed, same policy) enables paired comparisons.
-    Ties are broken by the lowest sample index.
-    """
-    d = objective.dimension
-    rng = make_rng(config.seed)
-    points = config.q0.sample(rng, config.budget)
-    values = objective.evaluate_batch(points)
-    checkpoints = _resolve_checkpoints(config)
-
-    estimates = np.empty((checkpoints.size, d))
-    for j, k in enumerate(checkpoints):
-        estimates[j] = points[np.argmin(values[:k])]
-
-    trace = RunTrace(
-        checkpoints=checkpoints,
-        estimates=estimates,
-        squared_errors=_squared_errors(estimates, objective),
-    )
-    return estimates[-1].copy(), trace
-
-
 def _project(x: Array, box: Optional[Tuple[Array, Array]]) -> Array:
     if box is None:
         return x
@@ -247,14 +151,15 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
     Objective values and sampling log-densities are cached once per point and
     validated when the batch is evaluated; only the -alpha * f term is
-    recomputed when the temperature advances.
+    recomputed when the temperature advances.  When one batch covers the
+    budget, its own arrays serve as the cache.
 
-    Every re-weighting of a prefix of c points runs in place in one scratch
-    buffer of length budget.  Its log-weights are anchored at the prefix
-    minimum ``prefix_min[c - 1]``, kept per point with a running minimum, so
-    a checkpoint inside a batch uses the best value among its own c points.
-    A checkpoint that falls on a batch boundary also serves as the next
-    center.  Random search keeps the index of the first best value instead.
+    Every re-weighting of a prefix of c points runs in place in one fresh
+    buffer of length c.  Its log-weights are anchored at the smallest value
+    among the c points; prefixes are visited in increasing c, so one running
+    minimum serves them all.  A checkpoint that falls on a batch boundary also
+    serves as the next center.  Random search keeps the index of the first
+    best value instead.
     """
     d = objective.dimension
     n = config.budget
@@ -263,29 +168,34 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
     rng = make_rng(config.seed)
     checkpoints = _resolve_checkpoints(config)
 
-    points = np.empty((n, d))
-    values = np.empty(n)
-    if use_softmin:
-        logq = np.empty(n)
-        prefix_min = np.empty(n)
-        scratch = np.empty(n)
+    if B < n:  # else the one batch's own arrays are the cache
+        points = np.empty((n, d))
+        values = np.empty(n)
+        logq = np.empty(n) if use_softmin else None
 
     estimates = np.empty((checkpoints.size, d))
     ess = np.full(checkpoints.size, np.nan)
     degenerate_final = False
     best = 0  # random search: index of the first best value so far
+    ref, ref_upto = math.inf, 0  # softmin: ref = min(values[:ref_upto])
 
     def softmin_at(c: int, with_ess: bool) -> Tuple[Array, float]:
-        nonlocal degenerate_final
-        alpha = alpha_schedule(config.alpha0, c, d)
-        result = _softmin_estimate(
-            alpha, points[:c], values[:c], logq[:c], prefix_min[c - 1], scratch, with_ess
-        )
-        if result is None:
+        """Softmin average of the first c points, and its ESS when asked (else
+        NaN).  Log-weights and then normalized weights are built in place in
+        one buffer, so the average and the ESS come from the same weights."""
+        nonlocal degenerate_final, ref, ref_upto
+        ref = min(ref, values[ref_upto:c].min())
+        ref_upto = c
+        if ref == np.inf:  # every weight vanishes: fall back to the argmin
             if c == n:
                 degenerate_final = True
             return points[np.argmin(values[:c])], math.nan
-        return result
+        if config.fixed_alpha is not None:
+            alpha = config.fixed_alpha
+        else:
+            alpha = alpha_schedule(config.alpha0, c, d)
+        p = _normalize_into(_log_weights_into(np.empty(c), alpha, values[:c], logq[:c], ref))
+        return _weighted_sum(p, points[:c]), (_kish_ess(p) if with_ess else math.nan)
 
     mu = None
     filled = 0
@@ -301,18 +211,19 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
                 envelope=config.q0,
             )
         batch = policy.sample(rng, b)
+        batch_values = objective.evaluate_batch(batch)
+        batch_logq = _checked_log_density(policy, batch) if use_softmin else None
         lo, filled = filled, filled + b
-        points[lo:filled] = batch
-        values[lo:filled] = objective.evaluate_batch(batch)
-        if use_softmin:
-            logq[lo:filled] = _checked_log_density(policy, batch)
-            # Seeding the scan with the previous prefix minimum carries it on.
-            prefix_min[lo:filled] = values[lo:filled]
-            run = prefix_min[max(lo - 1, 0):filled]
-            np.minimum.accumulate(run, out=run)
+        if B >= n:
+            points, values, logq = batch, batch_values, batch_logq
         else:
+            points[lo:filled] = batch
+            values[lo:filled] = batch_values
+            if use_softmin:
+                logq[lo:filled] = batch_logq
+        if not use_softmin:
             prev_best = best
-            i = lo + int(np.argmin(values[lo:filled]))
+            i = lo + int(np.argmin(batch_values))
             if values[i] < values[best]:  # strict: ties keep the lowest index
                 best = i
 
@@ -357,6 +268,26 @@ def run_adaptive_random_search(objective: Objective, config: AdaptiveConfig) -> 
     return _run_adaptive(objective, config, use_softmin=False)
 
 
+def run_liso(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
+    """Static softmin averaging: the one-batch adaptive run.
+
+    One i.i.d. batch of ``budget`` points from q0.  At each checkpoint k the
+    trace shows the anytime estimator: softmin average of the first k samples
+    at temperature alpha_schedule(alpha0, k, d), or ``fixed_alpha``.
+    Degenerate weights (all -inf) fall back to the argmin sample.
+    """
+    return run_adaptive_liso(objective, replace(config, batch_size=config.budget))
+
+
+def run_random_search(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
+    """Plain random search: the one-batch adaptive random search.
+
+    It draws the same sample stream as run_liso (same seed, same policy),
+    which enables paired comparisons.  Ties go to the lowest sample index.
+    """
+    return run_adaptive_random_search(objective, replace(config, batch_size=config.budget))
+
+
 def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
     """Rank-based recombination weights log((B+1)/2) - log(i), i = 1..floor(B/2).
 
@@ -370,13 +301,12 @@ def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
     return count, weights
 
 
-def _recombine(batch_points: Array, batch_values: Array, normalize: bool) -> Array:
+def _recombine(batch_points: Array, batch_values: Array) -> Array:
     if batch_points.shape[0] == 1:
         return batch_points[0].copy()
     count, weights = isotropic_es_recombination_weights(batch_points.shape[0])
     order = np.argsort(batch_values, kind="stable")[:count]
-    if normalize:
-        weights = weights / np.sum(weights)
+    weights = weights / np.sum(weights)
     return weights @ batch_points[order]
 
 
@@ -385,12 +315,8 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
 
     Each iteration samples B points around the current mean, ranks the batch
     by objective value, and recombines the best floor(B/2) points with
-    rank-based weights.  Unlike the softmin drivers, the mean update uses the
-    current batch only.
-
-    By default the recombination weights are normalized to sum to 1 so the
-    update is a weighted mean; set ``normalize_es_weights=False`` for the raw
-    (unnormalized) rank weights.
+    rank-based weights normalized to sum to 1.  Unlike the softmin drivers,
+    the mean update uses the current batch only.
     """
     if config.batch_size < 2:
         raise ValueError("isotropic ES requires batch_size >= 2")
@@ -416,13 +342,9 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
             if first_batch:
                 # No completed iteration yet: recombine the prefix of batch 1.
                 m = c - filled
-                estimates[next_cp] = _recombine(
-                    batch[:m], batch_values[:m], config.normalize_es_weights
-                )
+                estimates[next_cp] = _recombine(batch[:m], batch_values[:m])
             elif c == filled + b:
-                estimates[next_cp] = _recombine(
-                    batch, batch_values, config.normalize_es_weights
-                )
+                estimates[next_cp] = _recombine(batch, batch_values)
             else:
                 estimates[next_cp] = mu
             next_cp += 1
@@ -431,7 +353,7 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
         if next_cp and checkpoints[next_cp - 1] == filled:
             mu = estimates[next_cp - 1].copy()
         else:
-            mu = _recombine(batch, batch_values, config.normalize_es_weights)
+            mu = _recombine(batch, batch_values)
 
     trace = RunTrace(
         checkpoints=checkpoints,
@@ -439,3 +361,13 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
         squared_errors=_squared_errors(estimates, objective),
     )
     return mu, trace
+
+
+# Method name -> (driver, smallest batch_size it accepts).
+METHODS = {
+    "liso": (run_liso, 1),
+    "random_search": (run_random_search, 1),
+    "adaptive_liso": (run_adaptive_liso, 1),
+    "adaptive_random_search": (run_adaptive_random_search, 1),
+    "isotropic_es": (run_isotropic_es, 2),
+}

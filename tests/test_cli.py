@@ -55,6 +55,15 @@ def test_optimize_center_dimension_mismatch_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_optimize_static_method_checks_every_config_field(capsys):
+    code, _, err = run_cli(
+        capsys, "optimize", "--fn", "sphere", "--d", "2", "--method", "liso",
+        "--n", "100", "--batch-size", "0",
+    )
+    assert code == 2
+    assert "batch_size must be >= 1" in err
+
+
 def pid_recording_child(pid_file):
     """An external child that writes its pid, then answers every line with garbage."""
     code = ("import os, sys\n"
@@ -197,6 +206,21 @@ def test_bench_isotropic_es_batch_of_one_is_usage_error(tmp_path, capsys):
                            "--svg-out", str(tmp_path / "r.svg"))
     assert code == 2
     assert "isotropic_es requires batch_size >= 2" in err and "trial" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("checkpoint_start", 0), ("checkpoint_count", -3)])
+def test_bench_nonpositive_checkpoint_field_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "exp.yaml"
+    ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=100,
+                   seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                   trials=2).to_yaml(str(config))
+    config.write_text(config.read_text() + f"{key}: {value}\n")
+    code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                           "--csv-out", str(tmp_path / "r.csv"),
+                           "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2
+    assert f"{key} must be >= 1" in err and "trial" not in err
     assert not (tmp_path / "r.csv").exists()
 
 

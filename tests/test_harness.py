@@ -102,7 +102,7 @@ def test_spec_field_types_are_checked(field, value):
 
 def test_spec_ranges_are_checked():
     for field, value in (("alpha0", 0.0), ("batch_size", 0), ("mixture_weight", 1.5),
-                         ("sigma2", -1.0)):
+                         ("sigma2", -1.0), ("checkpoint_start", 0), ("checkpoint_count", -3)):
         with pytest.raises(ConfigError, match=field):
             small_spec(**{field: value})
     # numpy integers and plain ints both count as integers
@@ -154,6 +154,13 @@ def test_worker_pool_matches_sequential(monkeypatch):
 def test_bad_worker_count_names_the_variable(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "abc")
     with pytest.raises(ConfigError, match="LISOPT_WORKERS"):
+        run_experiment(small_spec())
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_worker_count_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("LISOPT_WORKERS", value)
+    with pytest.raises(ConfigError, match="LISOPT_WORKERS must be >= 1"):
         run_experiment(small_spec())
 
 

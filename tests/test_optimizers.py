@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,22 +260,22 @@ def test_es_recombination_weights_spot_values():
 def test_es_identical_batch_collapses_to_the_point():
     pts = np.tile(np.array([1.0, -2.0]), (6, 1))
     vals = np.full(6, 3.0)
-    assert np.allclose(_recombine(pts, vals, True), pts[0])
+    assert np.allclose(_recombine(pts, vals), pts[0])
 
 
 def test_es_batch_of_two_returns_the_better_point():
     pts = np.array([[5.0], [1.0]])
     vals = np.array([25.0, 1.0])
-    assert np.array_equal(_recombine(pts, vals, True), pts[1])
+    assert np.array_equal(_recombine(pts, vals), pts[1])
 
 
 def test_es_recombination_is_permutation_invariant():
     rng = make_rng(21)
     pts = rng.standard_normal((20, 3))
     vals = rng.standard_normal(20)
-    base = _recombine(pts, vals, True)
+    base = _recombine(pts, vals)
     perm = rng.permutation(20)
-    assert np.allclose(_recombine(pts[perm], vals[perm], True), base, atol=1e-12)
+    assert np.allclose(_recombine(pts[perm], vals[perm]), base, atol=1e-12)
 
 
 def test_es_runs_and_respects_budget():
@@ -289,6 +290,25 @@ def test_es_runs_and_respects_budget():
         run_isotropic_es(benchmark("sphere", 3),
                          AdaptiveConfig(budget=10, alpha0=1.0, q0=cfg.q0,
                                         seed=1, sigma2=0.3, batch_size=1))
+
+
+def test_one_config_serves_every_driver():
+    assert StaticConfig is AdaptiveConfig
+    q0 = IsotropicGaussian(mean=np.ones(4), variance=0.5)
+    assert AdaptiveConfig(budget=10, alpha0=1.0, q0=q0, seed=0).sigma2 == 0.25
+    with pytest.raises(ValueError, match="fixed_alpha"):
+        AdaptiveConfig(budget=10, alpha0=1.0, q0=q0, seed=0, fixed_alpha=0.0)
+
+
+def test_adaptive_liso_honours_fixed_alpha():
+    def trace(cfg):
+        return run_adaptive_liso(benchmark("sphere", 2), cfg)[1]
+
+    cfg = adaptive_cfg(900, 5, fixed_alpha=3.0)
+    fixed = trace(cfg)
+    # alpha0 only feeds the schedule, which a fixed temperature replaces.
+    assert np.array_equal(fixed.estimates, trace(replace(cfg, alpha0=9.0)).estimates)
+    assert not np.array_equal(fixed.estimates, trace(replace(cfg, fixed_alpha=None)).estimates)
 
 
 # ----------------------------------------------------------------------
