@@ -3,7 +3,9 @@
 Instead of returning the best point of a random search, the core estimator
 returns a self-normalized importance-weighted average of all evaluated
 points, with weights exp(-alpha f(x)) / q(x) computed stably in log space.
-Adaptive variants recenter the sampler on the running estimate.
+Adaptive variants recenter the sampler on the running estimate, and
+``liso_from_sample`` computes the estimate from a random search's own
+evaluations.
 """
 
 from .distributions import (
@@ -49,6 +51,7 @@ from .optimizers import (
     alpha_schedule,
     default_checkpoints,
     isotropic_es_recombination_weights,
+    liso_from_sample,
     run_adaptive_liso,
     run_adaptive_random_search,
     run_isotropic_es,

@@ -52,6 +52,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _cmd_optimize(args) -> int:
     d = args.d
+    if d < 1:
+        raise SystemExit2(f"--d must be >= 1, got {d}")
     center = _parse_vector(args.q0_center) if args.q0_center else np.zeros(d)
     if center.size != d:
         raise SystemExit2("q0-center length must equal --d")

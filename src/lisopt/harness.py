@@ -6,6 +6,12 @@ shared checkpoint grid, and aggregates mean / std / normal 95% confidence
 half-width per checkpoint.  Everything downstream of a (spec, seed) pair is
 byte-deterministic.
 
+One task runs one trial: every method of the spec, with the trial's derived
+seed.  The static methods (``liso``, ``random_search``) post-process one
+shared draw from q0, so a trial samples, evaluates and weights that draw
+once.  Each adaptive method makes its own run.  Each method still accounts
+for ``budget`` evaluations, and the trial's one objective checks the count.
+
 Trials may execute in parallel; the worker count comes from the
 ``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
 process may run on).
@@ -27,7 +33,7 @@ import yaml
 
 from .distributions import IsotropicGaussian, derive_seed
 from .objectives import Objective, benchmark, benchmark_names, format_float
-from .optimizers import METHODS, AdaptiveConfig, default_checkpoints
+from .optimizers import METHODS, SHARED_DRAW, AdaptiveConfig, _draw_q0, default_checkpoints
 # perfbench/tracing.py times the drivers by patching these names on this module.
 from .optimizers import (  # noqa: F401
     run_adaptive_liso,
@@ -90,15 +96,24 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not all(map(_is_real, self.q0_center)):
             raise ConfigError(f"q0_center must be a list of real numbers, got {self.q0_center!r}")
+        # YAML reads .inf and .nan as floats: no non-finite number means anything here.
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not all(map(math.isfinite, self.q0_center)):
+            raise ConfigError(f"q0_center entries must be finite, got {self.q0_center!r}")
         if self.objective not in benchmark_names():
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if not self.methods:
             raise ConfigError("method list must be nonempty")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+            if m in self.methods[:i]:
+                raise ConfigError(f"duplicate method {m!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.budget < 1:
@@ -183,28 +198,63 @@ def _build_objective(spec: ExperimentSpec) -> Objective:
     return benchmark(spec.objective, spec.dimension)
 
 
-def _run_one_trial(spec: ExperimentSpec, method: str, trial: int) -> Array:
-    """Run one (method, trial) pair; returns squared errors per checkpoint."""
+class _MethodFailed(Exception):
+    """A trial task failed; names the method (or the shared draw) at fault."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(where, message)
+        self.where, self.message = where, message
+
+
+def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
+    """Run every method on one trial; returns squared errors per checkpoint
+    for each method.
+
+    The static methods in ``SHARED_DRAW`` post-process one draw from q0 made
+    here, so it is sampled and evaluated once for all of them.  The adaptive
+    methods each make their own run.  One objective counts every evaluation
+    of the trial: the draw must spend exactly ``budget`` of them,
+    post-processing none, and each adaptive run ``budget``.  A failure names
+    the method, or the shared draw, at fault.
+    """
     objective = _build_objective(spec)
-    seed = derive_seed(spec.seed, trial)
     checkpoints = default_checkpoints(
         spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
     )
     q0 = IsotropicGaussian(mean=np.asarray(spec.q0_center, dtype=float),
                            variance=spec.q0_variance)
     config = AdaptiveConfig(
-        budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=seed,
+        budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=derive_seed(spec.seed, trial),
         sigma2=spec.sigma2, mixture_weight=spec.mixture_weight,
         batch_size=spec.batch_size, checkpoints=checkpoints,
     )
-    driver, _ = METHODS[method]
-    _, trace = driver(objective, config)
-    if objective.eval_count != spec.budget:
-        raise RuntimeError(
-            f"{method} trial {trial}: spent {objective.eval_count} evaluations "
-            f"instead of {spec.budget}"
-        )
-    return trace.squared_errors
+
+    def check_spent(before, expected):
+        spent = objective.eval_count - before
+        if spent != expected:
+            raise RuntimeError(f"spent {spent} evaluations instead of {expected}")
+
+    shared = [m for m in spec.methods if m in SHARED_DRAW]
+    errors = {}
+    try:
+        if shared:
+            where = "the shared draw of " + ", ".join(shared)
+            sample = _draw_q0(objective, config)
+            check_spent(0, spec.budget)
+        for method in spec.methods:
+            where = f"method {method}"
+            driver, _ = METHODS[method]
+            before = objective.eval_count
+            if method in SHARED_DRAW:
+                _, trace = driver(objective, config, sample=sample)
+                check_spent(before, 0)
+            else:
+                _, trace = driver(objective, config)
+                check_spent(before, spec.budget)
+            errors[method] = trace.squared_errors
+    except Exception as exc:
+        raise _MethodFailed(where, str(exc)) from exc
+    return errors
 
 
 def _worker_count() -> int:
@@ -224,42 +274,39 @@ def _worker_count() -> int:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Run all (method, trial) pairs and aggregate the traces.
+    """Run every trial, one task each, and aggregate the traces.
 
-    Any trial failure aborts the experiment; the error names the derived
-    seed so the failing trial can be replayed in isolation.
+    Any failure aborts the experiment; the error names the method, the trial
+    and its derived seed, so the failing run can be replayed in isolation.
     """
     t0 = time.monotonic()
     checkpoints = default_checkpoints(
         spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
     )
-    tasks = [(method, trial) for method in spec.methods for trial in range(spec.trials)]
     workers = _worker_count()
-    results: Dict[Tuple[str, int], Array] = {}
+    results: List[Dict[str, Array]] = []
     try:
-        if workers == 1 or len(tasks) == 1:
-            for method, trial in tasks:
-                results[(method, trial)] = _run_one_trial(spec, method, trial)
+        if workers == 1 or spec.trials == 1:
+            for trial in range(spec.trials):
+                results.append(_run_trial(spec, trial))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    (method, trial): pool.submit(_run_one_trial, spec, method, trial)
-                    for method, trial in tasks
-                }
-                for key, fut in futures.items():
-                    results[key] = fut.result()
+                futures = [pool.submit(_run_trial, spec, trial) for trial in range(spec.trials)]
+                for fut in futures:
+                    results.append(fut.result())
     except Exception as exc:
-        failing = next((k for k in tasks if k not in results), None)
-        trial = failing[1] if failing else -1
+        trial = len(results)
+        where, message = (f" in {exc.where}", exc.message) if isinstance(exc, _MethodFailed) \
+            else ("", str(exc))
         raise RuntimeError(
-            f"experiment aborted; replay with derived seed "
-            f"{derive_seed(spec.seed, trial)} (trial {trial}): {exc}"
+            f"experiment aborted{where}; replay with derived seed "
+            f"{derive_seed(spec.seed, trial)} (trial {trial}): {message}"
         ) from exc
 
     methods: Dict[str, MethodStats] = {}
     for method in spec.methods:
         # Deterministic reduction: fold in trial-index order.
-        errors = np.stack([results[(method, t)] for t in range(spec.trials)])
+        errors = np.stack([results[t][method] for t in range(spec.trials)])
         mean = errors.mean(axis=0)
         if spec.trials > 1:
             std = errors.std(axis=0, ddof=1)

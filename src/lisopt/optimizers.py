@@ -6,18 +6,18 @@ All drivers share the same contract: they call the objective exactly
 anytime estimate (plus squared error when the minimizer is known) at a grid
 of evaluation-count checkpoints.
 
-A static run is the one-batch adaptive run: ``run_liso`` and
-``run_random_search`` are ``run_adaptive_liso`` and
-``run_adaptive_random_search`` with ``batch_size = budget``, so their single
-batch is an i.i.d. sample from q0.  Every driver takes the one config class,
-``AdaptiveConfig`` (``StaticConfig`` is another name for it), and ``METHODS``
-maps each method name to its driver.
+A static run post-processes one draw: ``run_liso`` and ``run_random_search``
+evaluate one i.i.d. batch of ``budget`` points from q0 and read their
+estimates off its prefixes, with the prefix estimators the adaptive drivers
+also use.  The softmin step is public as ``liso_from_sample``.  Every driver
+takes the one config class, ``AdaptiveConfig`` (``StaticConfig`` is another
+name for it), and ``METHODS`` maps each method name to its driver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +67,10 @@ class RunTrace:
     degenerate_final: bool = False
 
 
+def _positive_finite(x) -> bool:
+    return x > 0 and math.isfinite(x)
+
+
 @dataclass
 class AdaptiveConfig:
     """Settings of every driver.
@@ -91,16 +95,16 @@ class AdaptiveConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
-        if self.fixed_alpha is not None and not self.fixed_alpha > 0:
-            raise ValueError("fixed_alpha must be positive")
+        if not _positive_finite(self.alpha0):
+            raise ValueError("alpha0 must be positive and finite")
+        if self.fixed_alpha is not None and not _positive_finite(self.fixed_alpha):
+            raise ValueError("fixed_alpha must be positive and finite")
         if not (0.0 <= self.mixture_weight <= 1.0):
             raise ValueError("mixture_weight must lie in [0, 1]")
         if self.sigma2 is None:
             self.sigma2 = 1.0 / self.q0.dimension
-        elif not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        elif not _positive_finite(self.sigma2):
+            raise ValueError("sigma2 must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.projection_box is not None:
@@ -113,21 +117,23 @@ class AdaptiveConfig:
 StaticConfig = AdaptiveConfig  # the static drivers take the same settings
 
 
-def _resolve_checkpoints(config) -> Array:
-    if config.checkpoints is not None:
-        pts = np.unique(np.asarray(config.checkpoints, dtype=int))
-        if pts.size == 0 or pts[0] < 1 or pts[-1] > config.budget:
-            raise ValueError("checkpoints must lie in [1, budget]")
-        if pts[-1] != config.budget:
-            pts = np.append(pts, config.budget)
-        return pts
-    return default_checkpoints(config.budget)
+def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> Array:
+    """Sorted distinct checkpoints in [1, budget], ending at budget; the
+    default grid when none are given."""
+    if checkpoints is None:
+        return default_checkpoints(budget)
+    pts = np.unique(np.asarray(checkpoints, dtype=int))
+    if pts.size == 0 or pts[0] < 1 or pts[-1] > budget:
+        raise ValueError("checkpoints must lie in [1, budget]")
+    if pts[-1] != budget:
+        pts = np.append(pts, budget)
+    return pts
 
 
-def _squared_errors(estimates: Array, objective: Objective) -> Optional[Array]:
-    if objective.known_minimizer is None:
+def _squared_errors(estimates: Array, minimizer: Optional[Array]) -> Optional[Array]:
+    if minimizer is None:
         return None
-    diff = estimates - objective.known_minimizer
+    diff = estimates - minimizer
     return np.sum(diff * diff, axis=1)
 
 
@@ -144,6 +150,146 @@ def _project(x: Array, box: Optional[Tuple[Array, Array]]) -> Array:
     return np.clip(x, box[0], box[1])
 
 
+class _SoftminPrefixes:
+    """Softmin averages of growing prefixes of one evaluated sample.
+
+    ``at(c)`` re-weights the first c points in place in one fresh buffer of
+    length c, log-weights and then normalized weights, so the average and the
+    ESS come from the same weights.  The log-weights are anchored at the
+    smallest value among the c points; prefixes are asked for in increasing
+    c, so one running minimum serves them all.  A prefix whose values are all
+    +inf has no weight left and falls back to its argmin point.  The arrays
+    may still be filling: only their first c entries are read.
+    """
+
+    def __init__(self, points: Array, values: Array, logq: Array,
+                 alpha0: Optional[float], fixed_alpha: Optional[float]):
+        self.points, self.values, self.logq = points, values, logq
+        self.alpha0, self.fixed_alpha = alpha0, fixed_alpha
+        self.ref, self.upto = math.inf, 0  # ref = min(values[:upto])
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the last prefix asked for fell back to its argmin point."""
+        return self.ref == math.inf
+
+    def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
+        """Softmin average of the first c points, and its ESS when asked (else NaN)."""
+        self.ref = min(self.ref, self.values[self.upto:c].min())
+        self.upto = c
+        if self.degenerate:
+            return self.points[np.argmin(self.values[:c])], math.nan
+        alpha = self.fixed_alpha
+        if alpha is None:
+            alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
+        p = _normalize_into(
+            _log_weights_into(np.empty(c), alpha, self.values[:c], self.logq[:c], self.ref))
+        return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
+
+
+class _BestPrefixes:
+    """Best points of growing prefixes of one evaluated sample (random search).
+
+    Prefixes are asked for in increasing length, so one running argmin serves
+    them all.  Ties go to the lowest index.
+    """
+
+    degenerate = False
+
+    def __init__(self, points: Array, values: Array):
+        self.points, self.values = points, values
+        self.best, self.upto = 0, 0
+
+    def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
+        """The first best of the first c points, and NaN for its ESS."""
+        i = self.upto + int(np.argmin(self.values[self.upto:c]))
+        if self.values[i] < self.values[self.best]:  # strict: ties keep the lowest index
+            self.best = i
+        self.upto = c
+        return self.points[self.best], math.nan
+
+
+def _prefix_trace(prefixes, checkpoints: Array, with_ess: bool) -> RunTrace:
+    """The estimate of ``prefixes`` at every checkpoint, as a trace without
+    squared errors."""
+    estimates = np.empty((checkpoints.size, prefixes.points.shape[1]))
+    ess = np.empty(checkpoints.size)
+    for k, c in enumerate(checkpoints):
+        estimates[k], ess[k] = prefixes.at(int(c))
+    return RunTrace(
+        checkpoints=checkpoints,
+        estimates=estimates,
+        ess=ess if with_ess else None,
+        degenerate_final=prefixes.degenerate,
+    )
+
+
+def liso_from_sample(
+    points,
+    values,
+    checkpoints: Optional[Sequence[int]] = None,
+    *,
+    logq=None,
+    alpha0: Optional[float] = None,
+    fixed_alpha: Optional[float] = None,
+) -> RunTrace:
+    """The paper's static estimate on top of a random search's own record.
+
+    ``points`` (n, d) are the sampled points in draw order and ``values``
+    their objective values (+inf is a zero-weight sentinel).  ``logq`` is the
+    sampler's log-density at each point; leave it out only for a uniform
+    sampler.  At each checkpoint k (default: the geometric grid; n is always
+    the last) the trace holds the softmin average of the first k points at
+    temperature ``alpha_schedule(alpha0, k, d)``, or ``fixed_alpha`` when
+    given, and its ESS; a prefix whose values are all +inf falls back to its
+    argmin point.  Nothing is evaluated; ``run_liso`` is this function on one
+    draw from q0.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or len(points) < 1 or not np.all(np.isfinite(points)):
+        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
+    n = len(points)
+    values = np.asarray(values, dtype=float)
+    logq = np.zeros(n) if logq is None else np.asarray(logq, dtype=float)
+    if values.shape != (n,) or np.any(np.isnan(values)) or np.any(values == -np.inf):
+        raise ValueError("values must hold one finite or +inf number per point")
+    if logq.shape != (n,) or not np.all(np.isfinite(logq)):
+        raise ValueError("sample log-densities must be finite, one per point")
+    if alpha0 is None and fixed_alpha is None:
+        raise ValueError("give alpha0 or fixed_alpha")
+    for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
+        if alpha is not None and not _positive_finite(alpha):
+            raise ValueError(f"{name} must be positive and finite")
+    prefixes = _SoftminPrefixes(points, values, logq, alpha0, fixed_alpha)
+    return _prefix_trace(prefixes, _resolve_checkpoints(checkpoints, n), True)
+
+
+def _draw_q0(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, Array]:
+    """The draw the static methods post-process: ``budget`` i.i.d. points
+    from q0 and their values."""
+    points = config.q0.sample(make_rng(config.seed), config.budget)
+    return points, objective.evaluate_batch(points)
+
+
+def _static_run(objective: Objective, config: AdaptiveConfig,
+                sample: Optional[Tuple[Array, Array]], use_softmin: bool):
+    points, values = _draw_q0(objective, config) if sample is None else sample
+    if values.shape != (config.budget,):
+        raise ValueError("the sample must hold budget points")
+    checkpoints = _resolve_checkpoints(config.checkpoints, config.budget)
+    if use_softmin:
+        trace = liso_from_sample(points, values, checkpoints,
+                                 logq=config.q0.log_density_batch(points),
+                                 alpha0=config.alpha0, fixed_alpha=config.fixed_alpha)
+    else:
+        trace = _prefix_trace(_BestPrefixes(points, values), checkpoints, False)
+    box = config.projection_box
+    if box is not None:
+        np.clip(trace.estimates, box[0], box[1], out=trace.estimates)
+    trace.squared_errors = _squared_errors(trace.estimates, objective.known_minimizer)
+    return trace.estimates[-1].copy(), trace
+
+
 def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: bool):
     """Shared driver for adaptive softmin averaging and adaptive random search.
 
@@ -151,52 +297,30 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
     Objective values and sampling log-densities are cached once per point and
     validated when the batch is evaluated; only the -alpha * f term is
-    recomputed when the temperature advances.  When one batch covers the
-    budget, its own arrays serve as the cache.
-
-    Every re-weighting of a prefix of c points runs in place in one fresh
-    buffer of length c.  Its log-weights are anchored at the smallest value
-    among the c points; prefixes are visited in increasing c, so one running
-    minimum serves them all.  A checkpoint that falls on a batch boundary also
-    serves as the next center.  Random search keeps the index of the first
-    best value instead.
+    recomputed when the temperature advances.  The estimate of a prefix comes
+    from the same prefix estimator the static drivers use.  A checkpoint that
+    falls on a batch boundary also serves as the next center.  When one batch
+    covers the budget, the run is the static run.
     """
+    if config.batch_size >= config.budget:
+        return _static_run(objective, config, None, use_softmin)
     d = objective.dimension
     n = config.budget
     B = config.batch_size
     box = config.projection_box
     rng = make_rng(config.seed)
-    checkpoints = _resolve_checkpoints(config)
+    checkpoints = _resolve_checkpoints(config.checkpoints, n)
 
-    if B < n:  # else the one batch's own arrays are the cache
-        points = np.empty((n, d))
-        values = np.empty(n)
-        logq = np.empty(n) if use_softmin else None
+    points = np.empty((n, d))
+    values = np.empty(n)
+    if use_softmin:
+        logq = np.empty(n)
+        prefixes = _SoftminPrefixes(points, values, logq, config.alpha0, config.fixed_alpha)
+    else:
+        prefixes = _BestPrefixes(points, values)
 
     estimates = np.empty((checkpoints.size, d))
     ess = np.full(checkpoints.size, np.nan)
-    degenerate_final = False
-    best = 0  # random search: index of the first best value so far
-    ref, ref_upto = math.inf, 0  # softmin: ref = min(values[:ref_upto])
-
-    def softmin_at(c: int, with_ess: bool) -> Tuple[Array, float]:
-        """Softmin average of the first c points, and its ESS when asked (else
-        NaN).  Log-weights and then normalized weights are built in place in
-        one buffer, so the average and the ESS come from the same weights."""
-        nonlocal degenerate_final, ref, ref_upto
-        ref = min(ref, values[ref_upto:c].min())
-        ref_upto = c
-        if ref == np.inf:  # every weight vanishes: fall back to the argmin
-            if c == n:
-                degenerate_final = True
-            return points[np.argmin(values[:c])], math.nan
-        if config.fixed_alpha is not None:
-            alpha = config.fixed_alpha
-        else:
-            alpha = alpha_schedule(config.alpha0, c, d)
-        p = _normalize_into(_log_weights_into(np.empty(c), alpha, values[:c], logq[:c], ref))
-        return _weighted_sum(p, points[:c]), (_kish_ess(p) if with_ess else math.nan)
-
     mu = None
     filled = 0
     next_cp = 0
@@ -211,45 +335,28 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
                 envelope=config.q0,
             )
         batch = policy.sample(rng, b)
-        batch_values = objective.evaluate_batch(batch)
-        batch_logq = _checked_log_density(policy, batch) if use_softmin else None
         lo, filled = filled, filled + b
-        if B >= n:
-            points, values, logq = batch, batch_values, batch_logq
-        else:
-            points[lo:filled] = batch
-            values[lo:filled] = batch_values
-            if use_softmin:
-                logq[lo:filled] = batch_logq
-        if not use_softmin:
-            prev_best = best
-            i = lo + int(np.argmin(batch_values))
-            if values[i] < values[best]:  # strict: ties keep the lowest index
-                best = i
+        values[lo:filled] = objective.evaluate_batch(batch)
+        if use_softmin:
+            logq[lo:filled] = _checked_log_density(policy, batch)
+        points[lo:filled] = batch
 
         while next_cp < checkpoints.size and checkpoints[next_cp] <= filled:
-            c = int(checkpoints[next_cp])
-            if use_softmin:
-                est, ess[next_cp] = softmin_at(c, True)
-            else:
-                i = lo + int(np.argmin(values[lo:c]))
-                est = points[i if values[i] < values[prev_best] else prev_best]
+            est, ess[next_cp] = prefixes.at(int(checkpoints[next_cp]))
             estimates[next_cp] = _project(est, box)
             next_cp += 1
 
         if next_cp and checkpoints[next_cp - 1] == filled:
             mu = estimates[next_cp - 1].copy()
-        elif use_softmin:
-            mu = _project(softmin_at(filled, False)[0], box)
         else:
-            mu = _project(points[best], box)
+            mu = _project(prefixes.at(filled, with_ess=False)[0], box)
 
     trace = RunTrace(
         checkpoints=checkpoints,
         estimates=estimates,
-        squared_errors=_squared_errors(estimates, objective),
+        squared_errors=_squared_errors(estimates, objective.known_minimizer),
         ess=ess if use_softmin else None,
-        degenerate_final=degenerate_final,
+        degenerate_final=prefixes.degenerate,
     )
     return mu, trace
 
@@ -268,24 +375,29 @@ def run_adaptive_random_search(objective: Objective, config: AdaptiveConfig) -> 
     return _run_adaptive(objective, config, use_softmin=False)
 
 
-def run_liso(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
-    """Static softmin averaging: the one-batch adaptive run.
+def run_liso(objective: Objective, config: AdaptiveConfig,
+             sample: Optional[Tuple[Array, Array]] = None) -> Tuple[Array, RunTrace]:
+    """Static softmin averaging: ``liso_from_sample`` on one draw from q0.
 
-    One i.i.d. batch of ``budget`` points from q0.  At each checkpoint k the
-    trace shows the anytime estimator: softmin average of the first k samples
-    at temperature alpha_schedule(alpha0, k, d), or ``fixed_alpha``.
-    Degenerate weights (all -inf) fall back to the argmin sample.
+    One i.i.d. batch of ``budget`` points from q0, evaluated and weighted by
+    its q0 log-densities.  At each checkpoint k the trace shows the anytime
+    estimator: softmin average of the first k samples at temperature
+    alpha_schedule(alpha0, k, d), or ``fixed_alpha``.  Degenerate weights
+    (all -inf) fall back to the argmin sample.  ``sample``, when given, is
+    that draw's ``(points, values)``, already made, and nothing is evaluated.
     """
-    return run_adaptive_liso(objective, replace(config, batch_size=config.budget))
+    return _static_run(objective, config, sample, use_softmin=True)
 
 
-def run_random_search(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
-    """Plain random search: the one-batch adaptive random search.
+def run_random_search(objective: Objective, config: AdaptiveConfig,
+                      sample: Optional[Tuple[Array, Array]] = None) -> Tuple[Array, RunTrace]:
+    """Plain random search: the best point of one draw from q0.
 
-    It draws the same sample stream as run_liso (same seed, same policy),
-    which enables paired comparisons.  Ties go to the lowest sample index.
+    It reads the same sample stream as run_liso (same seed, same policy),
+    which enables paired comparisons and lets the two share one ``sample``.
+    Ties go to the lowest sample index.
     """
-    return run_adaptive_random_search(objective, replace(config, batch_size=config.budget))
+    return _static_run(objective, config, sample, use_softmin=False)
 
 
 def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
@@ -324,7 +436,7 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
     n = config.budget
     B = config.batch_size
     rng = make_rng(config.seed)
-    checkpoints = _resolve_checkpoints(config)
+    checkpoints = _resolve_checkpoints(config.checkpoints, n)
 
     estimates = np.empty((checkpoints.size, d))
     mu = None
@@ -358,7 +470,7 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
     trace = RunTrace(
         checkpoints=checkpoints,
         estimates=estimates,
-        squared_errors=_squared_errors(estimates, objective),
+        squared_errors=_squared_errors(estimates, objective.known_minimizer),
     )
     return mu, trace
 
@@ -371,3 +483,7 @@ METHODS = {
     "adaptive_random_search": (run_adaptive_random_search, 1),
     "isotropic_es": (run_isotropic_es, 2),
 }
+
+# The static methods: each post-processes one draw from q0, which a caller
+# running several of them on one config may draw once and pass as ``sample``.
+SHARED_DRAW = ("liso", "random_search")

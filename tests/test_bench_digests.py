@@ -1,0 +1,79 @@
+"""Pinned output bytes of ``lisopt bench`` on the two sphere d=4 specs.
+
+Each digest is the sha256 of the CSV and the SVG that ``lisopt bench`` writes
+for a shipped config cut to 5 trials and a small budget, with
+``LISOPT_WORKERS`` 1 and 2.  The digests were recorded before the harness ran
+``liso`` and ``random_search`` from one shared draw per trial; they prove that
+the shared draw, the per-trial task and the worker count move no output bit.
+
+The bits depend on numpy's SIMD kernels, so the digests only apply on the
+platform they were recorded on.
+"""
+
+import hashlib
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lisopt import ExperimentSpec
+from lisopt.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+RECORDED_ON = "x86_64 python3.11 numpy2.4.6 simd:X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
+
+# config -> budget of the cut-down spec
+BUDGETS = {"sphere_static_d4": 20000, "sphere_adaptive_d4": 9000}
+TRIALS = 5
+
+DIGESTS = {
+    "sphere_adaptive_d4": "71e5617be89fe67ff4b4c7e0861acffd9653ef4863b24e63140bec49172c2e39",
+    "sphere_static_d4": "18a166cdf95689ee0bcec5e0958d8540ad971827ebffdb95d4f2ba5f2546065d",
+}
+
+
+def _fingerprint():
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", [])
+    return (f"{platform.machine()} python{sys.version_info[0]}.{sys.version_info[1]} "
+            f"numpy{np.__version__} simd:{','.join(simd)}")
+
+
+def bench_digest(name, workers, workdir, monkeypatch):
+    """sha256 of the CSV then the SVG that ``lisopt bench`` writes for ``name``."""
+    spec = ExperimentSpec.from_yaml(str(CONFIGS / f"{name}.yaml"))
+    spec.budget = BUDGETS[name]
+    spec.trials = TRIALS
+    spec.csv_out = str(workdir / f"{name}.csv")
+    spec.svg_out = str(workdir / f"{name}.svg")
+    path = workdir / f"{name}.yaml"
+    spec.to_yaml(str(path))
+    monkeypatch.setenv("LISOPT_WORKERS", str(workers))
+    assert main(["bench", "--config", str(path)]) == 0
+    h = hashlib.sha256()
+    h.update(Path(spec.csv_out).read_bytes())
+    h.update(Path(spec.svg_out).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_bench_bytes_are_pinned(name, workers, tmp_path, monkeypatch, capsys):
+    if _fingerprint() != RECORDED_ON:
+        pytest.skip(f"digests recorded on {RECORDED_ON}")
+    assert bench_digest(name, workers, tmp_path, monkeypatch) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # Prints the DIGESTS table for the current tree.
+    import tempfile
+
+    for name in sorted(BUDGETS):
+        digests = set()
+        for workers in (1, 2):
+            with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+                digests.add(bench_digest(name, workers, Path(tmp), mp))
+        assert len(digests) == 1, f"{name}: worker counts disagree"
+        print(f'    "{name}": "{digests.pop()}",')

@@ -64,6 +64,20 @@ def test_optimize_static_method_checks_every_config_field(capsys):
     assert "batch_size must be >= 1" in err
 
 
+def test_optimize_zero_dimension_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "optimize", "--d", "0", "--method", "liso", "--n", "100")
+    assert code == 2
+    assert "--d must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha0", "--sigma2"])
+def test_optimize_non_finite_number_is_usage_error(capsys, flag):
+    code, out, err = run_cli(capsys, "optimize", "--d", "2", "--method", "liso",
+                             "--n", "100", flag, "inf")
+    assert code == 2
+    assert f"{flag[2:]} must be positive and finite" in err and not out
+
+
 def pid_recording_child(pid_file):
     """An external child that writes its pid, then answers every line with garbage."""
     code = ("import os, sys\n"
@@ -206,6 +220,24 @@ def test_bench_isotropic_es_batch_of_one_is_usage_error(tmp_path, capsys):
                            "--svg-out", str(tmp_path / "r.svg"))
     assert code == 2
     assert "isotropic_es requires batch_size >= 2" in err and "trial" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("alpha0", ".inf"), ("q0_variance", ".inf"),
+                                       ("sigma2", ".inf"), ("alpha0", ".nan")])
+def test_bench_non_finite_number_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "exp.yaml"
+    ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=100,
+                   seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                   trials=2).to_yaml(str(config))
+    text = "".join(line for line in config.read_text().splitlines(True)
+                   if not line.startswith(f"{key}:"))
+    config.write_text(text + f"{key}: {value}\n")
+    code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                           "--csv-out", str(tmp_path / "r.csv"),
+                           "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2
+    assert f"{key} must be finite" in err and "trial" not in err
     assert not (tmp_path / "r.csv").exists()
 
 

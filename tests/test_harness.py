@@ -1,20 +1,30 @@
 import copy
+import math
 import os
 
 import numpy as np
 import pytest
 
 from lisopt import (
+    AdaptiveConfig,
     ExperimentReport,
     ExperimentSpec,
+    IsotropicGaussian,
     MethodStats,
+    Objective,
+    benchmark,
+    default_checkpoints,
+    derive_seed,
     emit_csv,
     emit_svg_plot,
     fit_loglog_slope,
     parse_csv,
     run_experiment,
+    run_liso,
+    run_random_search,
 )
-from lisopt.harness import ConfigError, _worker_count, csv_string, svg_string
+from lisopt import optimizers
+from lisopt.harness import ConfigError, _run_trial, _worker_count, csv_string, svg_string
 
 
 def small_spec(**overrides):
@@ -109,6 +119,23 @@ def test_spec_ranges_are_checked():
     assert small_spec(budget=np.int64(400), alpha0=2).budget == 400
 
 
+@pytest.mark.parametrize("field,value", [
+    ("alpha0", math.inf),
+    ("q0_variance", math.inf),
+    ("sigma2", math.inf),
+    ("mixture_weight", math.nan),
+    ("q0_center", [0.7, math.nan]),
+])
+def test_spec_non_finite_numbers_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=f"{field}.* finite"):
+        small_spec(**{field: value})
+
+
+def test_spec_duplicate_method_is_rejected():
+    with pytest.raises(ConfigError, match="duplicate method 'liso'"):
+        small_spec(methods=["liso", "random_search", "liso"])
+
+
 def test_isotropic_es_needs_a_batch_of_two():
     with pytest.raises(ConfigError, match="isotropic_es requires batch_size >= 2"):
         small_spec(methods=["liso", "isotropic_es"], batch_size=1)
@@ -176,6 +203,75 @@ def test_methods_share_checkpoints(monkeypatch):
     report = run_experiment(small_spec())
     cps = [s.checkpoints.tolist() for s in report.methods.values()]
     assert cps[0] == cps[1]
+
+
+def test_static_methods_share_one_draw_per_trial(monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    samples, evaluated = [], []
+    sample = IsotropicGaussian.sample
+    evaluate = Objective.evaluate_batch
+    monkeypatch.setattr(IsotropicGaussian, "sample",
+                        lambda self, rng, count: samples.append(count) or sample(self, rng, count))
+    monkeypatch.setattr(Objective, "evaluate_batch",
+                        lambda self, p: evaluated.append(len(p)) or evaluate(self, p))
+    run_experiment(small_spec(trials=3))
+    assert samples == [400] * 3
+    assert sum(evaluated) == 3 * 400
+
+
+def test_shared_draw_matches_separate_runs():
+    spec = small_spec(trials=3)
+    checkpoints = default_checkpoints(spec.budget, count=spec.checkpoint_count,
+                                      start=spec.checkpoint_start)
+    for trial in range(spec.trials):
+        errors = _run_trial(spec, trial)
+        config = AdaptiveConfig(
+            budget=spec.budget, alpha0=spec.alpha0, seed=derive_seed(spec.seed, trial),
+            q0=IsotropicGaussian(mean=np.array(spec.q0_center), variance=spec.q0_variance),
+            checkpoints=checkpoints,
+        )
+        for method, driver in (("liso", run_liso), ("random_search", run_random_search)):
+            objective = benchmark("sphere", 2)
+            _, trace = driver(objective, config)
+            assert objective.eval_count == spec.budget
+            assert errors[method].tobytes() == trace.squared_errors.tobytes()
+
+
+def _failing_driver(objective, config, sample=None):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("method", ["random_search", "adaptive_liso"])
+def test_abort_names_the_method_trial_and_seed(monkeypatch, method):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    monkeypatch.setitem(optimizers.METHODS, method, (_failing_driver, 1))
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(small_spec(methods=["liso", method]))
+    assert str(info.value) == (
+        f"experiment aborted in method {method}; replay with derived seed "
+        f"{derive_seed(7, 0)} (trial 0): boom")
+
+
+def test_abort_names_a_failing_shared_draw(monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    monkeypatch.setattr("lisopt.harness._build_objective",
+                        lambda spec: Objective(2, lambda p: np.full(len(p), np.nan)))
+    with pytest.raises(RuntimeError, match="in the shared draw of liso, random_search;"
+                                           ".*evaluator returned NaN"):
+        run_experiment(small_spec())
+
+
+def test_a_static_method_that_evaluates_breaks_the_budget(monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+
+    def evaluating_driver(objective, config, sample=None):
+        objective.evaluate_batch(np.zeros((1, 2)))
+        return run_random_search(objective, config, sample=sample)
+
+    monkeypatch.setitem(optimizers.METHODS, "random_search", (evaluating_driver, 1))
+    with pytest.raises(RuntimeError, match="in method random_search;.*"
+                                           "spent 1 evaluations instead of 0"):
+        run_experiment(small_spec())
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from lisopt import (
     derive_seed,
     isotropic_es_recombination_weights,
     laplace_log_weights,
+    liso_from_sample,
     make_rng,
     run_adaptive_liso,
     run_adaptive_random_search,
@@ -300,6 +301,16 @@ def test_one_config_serves_every_driver():
         AdaptiveConfig(budget=10, alpha0=1.0, q0=q0, seed=0, fixed_alpha=0.0)
 
 
+@pytest.mark.parametrize("field", ["alpha0", "fixed_alpha", "sigma2"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_numbers(field, value):
+    q0 = IsotropicGaussian(mean=np.ones(2), variance=0.5)
+    kw = dict(budget=10, alpha0=1.0, q0=q0, seed=0)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        AdaptiveConfig(**kw)
+
+
 def test_adaptive_liso_honours_fixed_alpha():
     def trace(cfg):
         return run_adaptive_liso(benchmark("sphere", 2), cfg)[1]
@@ -364,3 +375,62 @@ def test_estimates_lie_in_sample_hull(name, driver, is_static):
     assert np.all(est <= pts.max(axis=0) + 1e-12)
     assert np.all(trace.estimates >= pts.min(axis=0) - 1e-12)
     assert np.all(trace.estimates <= pts.max(axis=0) + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# Softmin post-processing of an evaluated sample
+# ----------------------------------------------------------------------
+
+def random_search_record(n=500, seed=3):
+    """The points, values and q0 log-densities of a random search on sphere d=3."""
+    q0 = IsotropicGaussian(mean=np.ones(3), variance=0.5)
+    points = q0.sample(make_rng(seed), n)
+    return q0, points, benchmark("sphere", 3).evaluate_batch(points), q0.log_density_batch(points)
+
+
+def test_liso_from_sample_is_run_liso_without_evaluations():
+    q0, points, values, logq = random_search_record()
+    cfg = StaticConfig(budget=500, alpha0=0.5, q0=q0, seed=3, checkpoints=[10, 100, 333])
+    _, expected = run_liso(benchmark("sphere", 3), cfg)
+    trace = liso_from_sample(points, values, [10, 100, 333], logq=logq, alpha0=0.5)
+    assert trace.checkpoints.tolist() == [10, 100, 333, 500]
+    assert trace.squared_errors is None
+    for field in ("estimates", "ess"):
+        assert getattr(trace, field).tobytes() == getattr(expected, field).tobytes()
+    assert not trace.degenerate_final
+
+
+def test_liso_from_sample_defaults_and_fixed_alpha():
+    _, points, values, logq = random_search_record()
+    trace = liso_from_sample(points, values, logq=logq, alpha0=1.0)
+    assert np.array_equal(trace.checkpoints, default_checkpoints(500))
+    # A fixed temperature replaces the schedule; a constant log-density cancels.
+    fixed = liso_from_sample(points, values, logq=np.full(500, -2.0), alpha0=9.0, fixed_alpha=3.0)
+    uniform = liso_from_sample(points, values, fixed_alpha=3.0)
+    assert np.allclose(fixed.estimates, uniform.estimates, rtol=0, atol=1e-12)
+
+
+def test_liso_from_sample_all_inf_falls_back_to_the_first_point():
+    _, points, _, _ = random_search_record(n=20)
+    trace = liso_from_sample(points, np.full(20, np.inf), [5], alpha0=1.0)
+    assert trace.degenerate_final
+    assert np.array_equal(trace.estimates, points[[0, 0]])
+    assert np.isnan(trace.ess).all()
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(points=np.zeros(5)), "points must be a nonempty"),
+    (dict(values=np.zeros(4)), "one finite or \\+inf number per point"),
+    (dict(values=np.array([0, 1, np.nan, 2, 3.0])), "one finite or \\+inf"),
+    (dict(logq=np.array([0, 1, np.inf, 2, 3.0])), "log-densities must be finite"),
+    (dict(logq=np.zeros(4)), "log-densities must be finite, one per point"),
+    (dict(alpha0=None), "give alpha0 or fixed_alpha"),
+    (dict(fixed_alpha=np.inf), "fixed_alpha must be positive and finite"),
+    (dict(checkpoints=[6]), "checkpoints must lie in"),
+])
+def test_liso_from_sample_checks_its_inputs(change, message):
+    kw = dict(points=np.zeros((5, 2)), values=np.arange(5.0), checkpoints=None,
+              logq=np.zeros(5), alpha0=1.0)
+    kw.update(change)
+    with pytest.raises(ValueError, match=message):
+        liso_from_sample(kw.pop("points"), kw.pop("values"), kw.pop("checkpoints"), **kw)
