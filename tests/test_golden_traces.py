@@ -3,7 +3,8 @@
 Each digest covers the returned estimate, the per-checkpoint estimates,
 squared errors and ESS, and the degenerate-fallback flag.  The specs put
 checkpoints in the middle of a batch, on a batch boundary and in a final
-partial batch, and cover mixture weights 0 and 0.3, a projection box, a fixed
+partial batch, one of them a batch of one point; one spec's single batch
+covers the whole budget.  They cover mixture weights 0 and 0.3, a projection box, a fixed
 temperature, an objective returning some +inf, and one whose first batch is
 all +inf so that the degenerate fallback runs.  Most specs are 3-dimensional;
 three more cover d = 1, 8 and 12, on both sides of numpy's switch to pairwise
@@ -46,6 +47,8 @@ RECORDED_ON = "x86_64 python3.11 numpy2.4.6 simd:X86_V3,X86_V4,AVX512_ICL,AVX512
 # Batches of 300 end at 300, 600, 900 and 1000 (a partial batch): 300 and 600
 # are batch boundaries, the others fall inside a batch.
 CHECKPOINTS = [1, 50, 300, 323, 450, 600, 777, 1000]
+# Budget 901 ends on a batch of one point, [900, 901).
+FINAL_ONE_CHECKPOINTS = [1, 50, 300, 323, 450, 600, 777, 900, 901]
 BOX = (np.full(3, -0.5), np.full(3, 0.8))
 
 
@@ -93,6 +96,9 @@ CASES = {
                           {}, {"mixture_weight": 0.3}),
     "rastrigin_d12": (lambda: benchmark("rastrigin", 12), 1000, CHECKPOINTS, {}, {}),
     "ackley_d1": (lambda: benchmark("ackley", 1), 1000, CHECKPOINTS, {}, {}),
+    "one_batch": (lambda: benchmark("sphere", 3), 250, [1, 50, 123, 250], {}, {}),
+    "final_batch_of_one": (lambda: benchmark("sphere", 3), 901, FINAL_ONE_CHECKPOINTS,
+                           {}, {"mixture_weight": 0.3}),
 }
 
 DRIVERS = {
@@ -124,6 +130,11 @@ GOLDEN = {
     "default_grid/isotropic_es": "6be5088c8685dcb456f3b84bd213e97f67651f62a1acef2a05ad0e3bc27e5e74",
     "default_grid/liso": "b5734e6e1fea57b59c889886aa5e0b1426564c2663a065260dc3856b1a80af08",
     "default_grid/random_search": "58edf467969522c09fc24e191e22e2adc0ecc8ca354886bf9e4a8273d3929802",
+    "final_batch_of_one/adaptive_liso": "c6895694a66b567b4721abfa2cea1d8ea260bb43a7c560a94ba6086bb2772b9c",
+    "final_batch_of_one/adaptive_random_search": "32ff7bbe5ab5aa6be3cfb63fb9818a960d618899b716b03f313c4b86860c4344",
+    "final_batch_of_one/isotropic_es": "ae2bd4ce0d55021e870de4ec658b7a58b0f4ed1b7f5f634a9c41300545bc4a87",
+    "final_batch_of_one/liso": "9f9c5b5f0c0c05933defbb05c42d1f673d043b64b5578cc74caad1f1b6858d46",
+    "final_batch_of_one/random_search": "c06498d277bcf0ade3802ccf0c65c843c8e11d885f90dc1c6c7dd564ff344f7c",
     "inf_first_batch/adaptive_liso": "42602defd285cb83f3e3cdc0ef3aebcb696963a0b2461c4142970e35b64fe04a",
     "inf_first_batch/adaptive_random_search": "bbe41f650244796ab358abf7d47439335cef3107eef7cadd70e2ac826dbc3aa0",
     "inf_first_batch/isotropic_es": "69a05004472368b3e5f582b9e42773679df5b08288e8c96177d81cd2bf56ff76",
@@ -134,6 +145,11 @@ GOLDEN = {
     "inf_region/isotropic_es": "1ede650bea6d01de33ee23863c3be12f3ced9f04edd90d975898b334eb8be686",
     "inf_region/liso": "8fadfda0743d4960eaea356f3f3f650ff5d9733ca423eeeaee34065764220a5a",
     "inf_region/random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
+    "one_batch/adaptive_liso": "3bd2a637398077b993ded760a446aa3555e544240a625001003f92c2eb28a60f",
+    "one_batch/adaptive_random_search": "1de366e01eea9d4e8c64607baf894c8120900bab5786e5d56be2a5731e29068d",
+    "one_batch/isotropic_es": "e5c853679757a4fd2f4cab839edc57af42217484ccfb93c70c651652521d31e9",
+    "one_batch/liso": "3bd2a637398077b993ded760a446aa3555e544240a625001003f92c2eb28a60f",
+    "one_batch/random_search": "1de366e01eea9d4e8c64607baf894c8120900bab5786e5d56be2a5731e29068d",
     "rastrigin_box/adaptive_liso": "451fc9d739810ee075d82a6db793c1cc8f38d612a8044005b341c98bb10405e0",
     "rastrigin_box/adaptive_random_search": "666e9a5328e017e11ce0134776183e4e2fe5c5e0cd53fa4c6271d334c0dc71ce",
     "rastrigin_box/isotropic_es": "e8efb2c50f2f45c0bbee1633e3a2a07ffd8771fc602ad29b3007cab29d11f958",
@@ -205,6 +221,9 @@ def test_cases_reach_the_paths_they_pin():
     assert np.isnan(trace.ess[:4]).all() and not np.isnan(trace.ess[4:]).any()
     _, trace = run_case("rastrigin_box", "adaptive_liso")
     assert np.any(trace.estimates == BOX[1]) or np.any(trace.estimates == BOX[0])
+    # The ES recombines the one point of the last batch on its own.
+    _, trace = run_case("final_batch_of_one", "isotropic_es")
+    assert not np.array_equal(trace.estimates[-1], trace.estimates[-2])
 
 
 if __name__ == "__main__":
