@@ -55,6 +55,7 @@ class ConfigError(ValueError):
 _INT_FIELDS = ("dimension", "budget", "seed", "trials", "batch_size",
                "checkpoint_start", "checkpoint_count")
 _REAL_FIELDS = ("alpha0", "q0_variance", "mixture_weight", "sigma2")
+_STR_FIELDS = ("objective", "title", "csv_out", "svg_out")
 
 
 def _is_real(value) -> bool:
@@ -90,6 +91,12 @@ class ExperimentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _STR_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name.endswith("_out") and value is None)):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        if not (isinstance(self.methods, list) and all(isinstance(m, str) for m in self.methods)):
+            raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             if not (_is_real(value) or (name == "sigma2" and value is None)):
@@ -466,6 +473,8 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         raise ValueError("report has no methods to plot")
     if not title:
         title = str(report.metadata.get("title", "") or "mean squared error vs evaluations")
+    # Escaped by hand: xml.sax.saxutils would pull urllib into every import.
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     series = {}
     dropped = []

@@ -6,16 +6,20 @@ All drivers share the same contract: they call the objective exactly
 anytime estimate (plus squared error when the minimizer is known) at a grid
 of evaluation-count checkpoints.
 
-A static run post-processes one draw: ``run_liso`` and ``run_random_search``
-evaluate one i.i.d. batch of ``budget`` points from q0 and read their
-estimates off its prefixes, with the prefix estimators the adaptive drivers
-also use.  The softmin step is public as ``liso_from_sample``.  Every driver
-takes the one config class, ``AdaptiveConfig`` (``StaticConfig`` is another
-name for it), and ``METHODS`` maps each method name to its driver.
+There is one driver loop, ``_run_adaptive``.  The adaptive methods differ
+only in the prefix estimator it reads at each checkpoint: the softmin
+average, the best point, or the rank recombination of the last batch (the
+isotropic ES).  A static run post-processes one q0 draw: ``run_liso`` and
+``run_random_search`` read the softmin and best-point estimates off the
+prefixes of one evaluated batch of ``budget`` points.  The softmin step is
+public as ``liso_from_sample``.  Every driver takes the one config class,
+``AdaptiveConfig`` (``StaticConfig`` is another name for it), and
+``METHODS`` maps each method name to its driver.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -195,6 +199,7 @@ class _BestPrefixes:
     """
 
     degenerate = False
+    logq = None  # unweighted: no sampling log-densities needed
 
     def __init__(self, points: Array, values: Array):
         self.points, self.values = points, values
@@ -207,6 +212,51 @@ class _BestPrefixes:
             self.best = i
         self.upto = c
         return self.points[self.best], math.nan
+
+
+def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
+    """Rank-based recombination weights log((B+1)/2) - log(i), i = 1..floor(B/2).
+
+    All weights are positive because i <= floor(B/2) < (B+1)/2.
+    """
+    if batch_size < 2:
+        raise ValueError("batch_size must be >= 2")
+    count = batch_size // 2
+    i = np.arange(1, count + 1, dtype=float)
+    weights = math.log((batch_size + 1) / 2.0) - np.log(i)
+    return count, weights
+
+
+def _recombine(batch_points: Array, batch_values: Array) -> Array:
+    if batch_points.shape[0] == 1:
+        return batch_points[0].copy()
+    count, weights = isotropic_es_recombination_weights(batch_points.shape[0])
+    order = np.argsort(batch_values, kind="stable")[:count]
+    weights = weights / np.sum(weights)
+    return weights @ batch_points[order]
+
+
+class _RecombinePrefixes:
+    """Rank recombinations of the batches of one run (the isotropic ES).
+
+    After c points: the recombination of the first c points within batch 1
+    and of the batch that c ends; inside a later batch, that of the batch
+    before, which is the run's current centre.
+    """
+
+    degenerate = False
+    logq = None  # unweighted: no sampling log-densities needed
+
+    def __init__(self, points: Array, values: Array, batch_size: int):
+        self.points, self.values, self.batch_size = points, values, batch_size
+
+    def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
+        """The ES estimate after c points, and NaN for its ESS."""
+        B = self.batch_size
+        lo = (c - 1) // B * B
+        if lo > 0 and c < min(lo + B, len(self.values)):
+            lo, c = lo - B, lo
+        return _recombine(self.points[lo:c], self.values[lo:c]), math.nan
 
 
 def _prefix_trace(prefixes, checkpoints: Array, with_ess: bool) -> RunTrace:
@@ -290,20 +340,18 @@ def _static_run(objective: Objective, config: AdaptiveConfig,
     return trace.estimates[-1].copy(), trace
 
 
-def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: bool):
-    """Shared driver for adaptive softmin averaging and adaptive random search.
+def _run_adaptive(objective: Objective, config: AdaptiveConfig, prefixes_over):
+    """The one driver loop: adaptive liso, adaptive random search and the ES.
 
     Batches of size B are drawn from q_{k-1}; the first batch comes from q0
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
-    Objective values and sampling log-densities are cached once per point and
-    validated when the batch is evaluated; only the -alpha * f term is
-    recomputed when the temperature advances.  The estimate of a prefix comes
-    from the same prefix estimator the static drivers use.  A checkpoint that
-    falls on a batch boundary also serves as the next center.  When one batch
-    covers the budget, the run is the static run.
+    ``prefixes_over(points, values)`` makes the method's prefix estimator
+    over the run's buffers; it gives the estimate at each checkpoint and,
+    after each batch, the next center.  Objective values, and sampling
+    log-densities when the estimator has a ``logq`` buffer, are cached once
+    per point and validated when the batch is evaluated.  A checkpoint that
+    falls on a batch boundary also serves as the next center.
     """
-    if config.batch_size >= config.budget:
-        return _static_run(objective, config, None, use_softmin)
     d = objective.dimension
     n = config.budget
     B = config.batch_size
@@ -313,11 +361,8 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
 
     points = np.empty((n, d))
     values = np.empty(n)
-    if use_softmin:
-        logq = np.empty(n)
-        prefixes = _SoftminPrefixes(points, values, logq, config.alpha0, config.fixed_alpha)
-    else:
-        prefixes = _BestPrefixes(points, values)
+    prefixes = prefixes_over(points, values)
+    weighted = prefixes.logq is not None
 
     estimates = np.empty((checkpoints.size, d))
     ess = np.full(checkpoints.size, np.nan)
@@ -337,8 +382,8 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
         batch = policy.sample(rng, b)
         lo, filled = filled, filled + b
         values[lo:filled] = objective.evaluate_batch(batch)
-        if use_softmin:
-            logq[lo:filled] = _checked_log_density(policy, batch)
+        if weighted:
+            prefixes.logq[lo:filled] = _checked_log_density(policy, batch)
         points[lo:filled] = batch
 
         while next_cp < checkpoints.size and checkpoints[next_cp] <= filled:
@@ -355,7 +400,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, use_softmin: boo
         checkpoints=checkpoints,
         estimates=estimates,
         squared_errors=_squared_errors(estimates, objective.known_minimizer),
-        ess=ess if use_softmin else None,
+        ess=ess if weighted else None,
         degenerate_final=prefixes.degenerate,
     )
     return mu, trace
@@ -365,14 +410,15 @@ def run_adaptive_liso(objective: Objective, config: AdaptiveConfig) -> Tuple[Arr
     """Adaptive softmin averaging: each batch recenters the sampler at the
     current weighted-average estimate, preserving a fixed exploration mixture.
     """
-    return _run_adaptive(objective, config, use_softmin=True)
+    return _run_adaptive(objective, config, lambda points, values: _SoftminPrefixes(
+        points, values, np.empty(len(values)), config.alpha0, config.fixed_alpha))
 
 
 def run_adaptive_random_search(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
     """Adaptive random search: like adaptive softmin averaging, but the
     sampler recenters at the best point seen so far instead of the average.
     """
-    return _run_adaptive(objective, config, use_softmin=False)
+    return _run_adaptive(objective, config, _BestPrefixes)
 
 
 def run_liso(objective: Objective, config: AdaptiveConfig,
@@ -400,79 +446,22 @@ def run_random_search(objective: Objective, config: AdaptiveConfig,
     return _static_run(objective, config, sample, use_softmin=False)
 
 
-def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
-    """Rank-based recombination weights log((B+1)/2) - log(i), i = 1..floor(B/2).
-
-    All weights are positive because i <= floor(B/2) < (B+1)/2.
-    """
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
-    count = batch_size // 2
-    i = np.arange(1, count + 1, dtype=float)
-    weights = math.log((batch_size + 1) / 2.0) - np.log(i)
-    return count, weights
-
-
-def _recombine(batch_points: Array, batch_values: Array) -> Array:
-    if batch_points.shape[0] == 1:
-        return batch_points[0].copy()
-    count, weights = isotropic_es_recombination_weights(batch_points.shape[0])
-    order = np.argsort(batch_values, kind="stable")[:count]
-    weights = weights / np.sum(weights)
-    return weights @ batch_points[order]
-
-
 def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
     """Evolution strategy with a fixed isotropic covariance.
 
     Each iteration samples B points around the current mean, ranks the batch
     by objective value, and recombines the best floor(B/2) points with
     rank-based weights normalized to sum to 1.  Unlike the softmin drivers,
-    the mean update uses the current batch only.
+    the mean update uses the current batch only.  The ES ignores
+    ``mixture_weight`` and ``projection_box``: it always samples
+    N(mean, sigma2 I) after the first batch and never projects.
     """
     if config.batch_size < 2:
         raise ValueError("isotropic ES requires batch_size >= 2")
-    d = objective.dimension
-    n = config.budget
-    B = config.batch_size
-    rng = make_rng(config.seed)
-    checkpoints = _resolve_checkpoints(config.checkpoints, n)
-
-    estimates = np.empty((checkpoints.size, d))
-    mu = None
-    filled = 0
-    next_cp = 0
-    while filled < n:
-        b = min(B, n - filled)
-        policy = config.q0 if mu is None else IsotropicGaussian(mean=mu, variance=config.sigma2)
-        batch = policy.sample(rng, b)
-        batch_values = objective.evaluate_batch(batch)
-        first_batch = mu is None
-
-        while next_cp < checkpoints.size and checkpoints[next_cp] <= filled + b:
-            c = int(checkpoints[next_cp])
-            if first_batch:
-                # No completed iteration yet: recombine the prefix of batch 1.
-                m = c - filled
-                estimates[next_cp] = _recombine(batch[:m], batch_values[:m])
-            elif c == filled + b:
-                estimates[next_cp] = _recombine(batch, batch_values)
-            else:
-                estimates[next_cp] = mu
-            next_cp += 1
-
-        filled += b
-        if next_cp and checkpoints[next_cp - 1] == filled:
-            mu = estimates[next_cp - 1].copy()
-        else:
-            mu = _recombine(batch, batch_values)
-
-    trace = RunTrace(
-        checkpoints=checkpoints,
-        estimates=estimates,
-        squared_errors=_squared_errors(estimates, objective.known_minimizer),
-    )
-    return mu, trace
+    # A mixture of weight 0 draws the adapted Gaussian's own stream.
+    config = dataclasses.replace(config, mixture_weight=0.0, projection_box=None)
+    return _run_adaptive(objective, config, lambda points, values: _RecombinePrefixes(
+        points, values, config.batch_size))
 
 
 # Method name -> (driver, smallest batch_size it accepts).

@@ -2,6 +2,7 @@ import glob
 import os
 import shlex
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -254,6 +255,40 @@ def test_bench_nonpositive_checkpoint_field_is_usage_error(tmp_path, capsys, key
     assert code == 2
     assert f"{key} must be >= 1" in err and "trial" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_svg_title_is_escaped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    config = tmp_path / "exp.yaml"
+    ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=200,
+                   seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                   trials=2, checkpoint_start=50, checkpoint_count=4,
+                   title="a < b & c").to_yaml(str(config))
+    svg_path = tmp_path / "r.svg"
+    code, _, _ = run_cli(capsys, "bench", "--config", str(config),
+                         "--csv-out", str(tmp_path / "r.csv"), "--svg-out", str(svg_path))
+    assert code == 0
+    title = minidom.parse(str(svg_path)).getElementsByTagName("text")[0]
+    assert title.firstChild.data == "a < b & c"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("csv_out", "1", "csv_out must be a string, got 1"),
+    ("svg_out", "[a, b]", "svg_out must be a string"),
+    ("title", "7", "title must be a string"),
+    ("objective", "[sphere]", "objective must be a string"),
+    ("methods", "liso", "methods must be a list of method names, got 'liso'"),
+])
+def test_bench_mistyped_field_is_usage_error(tmp_path, capsys, key, value, message):
+    fields = {"objective": "sphere", "dimension": "2", "methods": "[liso]", "budget": "100",
+              "seed": "1", "alpha0": "1.0", "q0_center": "[0.5, 0.5]", "q0_variance": "1.0",
+              "trials": "2", key: value}
+    config = tmp_path / "exp.yaml"
+    config.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+    code, out, err = run_cli(capsys, "bench", "--config", str(config))
+    assert code == 2
+    assert message in err and "trial" not in err
+    assert out == ""
 
 
 # ----------------------------------------------------------------------

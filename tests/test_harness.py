@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_yaml_round_trip_and_unknown_key_rejection(tmp_path):
 ])
 def test_spec_field_types_are_checked(field, value):
     with pytest.raises(ConfigError, match=field):
+        small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("objective", 1),
+    ("title", 5),
+    ("csv_out", 1),
+    ("svg_out", ["plot.svg"]),
+    ("methods", "liso"),
+    ("methods", ["liso", ["random_search"]]),
+])
+def test_spec_non_string_fields_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be"):
         small_spec(**{field: value})
 
 
@@ -364,6 +378,12 @@ def test_svg_structure_single_method():
     assert svg.count("<polygon") == 1
     assert "only" in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_svg_title_is_escaped():
+    svg = svg_string(synthetic_report(), title="a < b & c > d")
+    (title,) = minidom.parseString(svg).getElementsByTagName("text")[:1]
+    assert title.firstChild.data == "a < b & c > d"
 
 
 def test_svg_byte_determinism():
