@@ -263,13 +263,13 @@ def test_bench_svg_title_is_escaped(tmp_path, capsys, monkeypatch):
     ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=200,
                    seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
                    trials=2, checkpoint_start=50, checkpoint_count=4,
-                   title="a < b & c").to_yaml(str(config))
+                   title="a < b & c > d").to_yaml(str(config))
     svg_path = tmp_path / "r.svg"
     code, _, _ = run_cli(capsys, "bench", "--config", str(config),
                          "--csv-out", str(tmp_path / "r.csv"), "--svg-out", str(svg_path))
     assert code == 0
     title = minidom.parse(str(svg_path)).getElementsByTagName("text")[0]
-    assert title.firstChild.data == "a < b & c"
+    assert title.firstChild.data == "a < b & c > d"
 
 
 @pytest.mark.parametrize("key,value,message", [
