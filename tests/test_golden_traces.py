@@ -4,7 +4,8 @@ Each digest covers the returned estimate, the per-checkpoint estimates,
 squared errors and ESS, and the degenerate-fallback flag.  The specs put
 checkpoints in the middle of a batch, on a batch boundary and in a final
 partial batch, one of them a batch of one point; one spec's single batch
-covers the whole budget.  They cover mixture weights 0 and 0.3, a projection box, a fixed
+covers the whole budget.  They cover mixture weights 0 and 0.3, a projection
+box (on the adaptive drivers, and on all five in one spec), a fixed
 temperature, an objective returning some +inf, and one whose first batch is
 all +inf so that the degenerate fallback runs.  Most specs are 3-dimensional;
 three more cover d = 1, 8 and 12, on both sides of numpy's switch to pairwise
@@ -99,6 +100,8 @@ CASES = {
     "one_batch": (lambda: benchmark("sphere", 3), 250, [1, 50, 123, 250], {}, {}),
     "final_batch_of_one": (lambda: benchmark("sphere", 3), 901, FINAL_ONE_CHECKPOINTS,
                            {}, {"mixture_weight": 0.3}),
+    "box_all_drivers": (lambda: benchmark("rastrigin", 3), 1000, CHECKPOINTS,
+                        {"projection_box": BOX}, {"projection_box": BOX}),
 }
 
 DRIVERS = {
@@ -125,6 +128,11 @@ GOLDEN = {
     "all_inf/isotropic_es": "3cd7b904734d3e804cafbfbef198e877c0880204fb9c9aaf8ada5df6487b0cf7",
     "all_inf/liso": "35a94ccf60065751311d020cfcc8dbbcab1c4083ceef5d6bca49c67c7c69234c",
     "all_inf/random_search": "a76207e1376b235987d33c6329f0e107f1e671c168052a1716451438b4b14944",
+    "box_all_drivers/adaptive_liso": "f7ecec5ed6a5b616c679a3e6cfb548e1b63a94c1a32c70322507116e0c6493b9",
+    "box_all_drivers/adaptive_random_search": "52c2a881db261cc90056e3b128eb320b83939940763e071e6392cd418c921d49",
+    "box_all_drivers/isotropic_es": "e8efb2c50f2f45c0bbee1633e3a2a07ffd8771fc602ad29b3007cab29d11f958",
+    "box_all_drivers/liso": "7880cabfe8dbe4c1b48e340db92c7aeb7d9796e4927dbe927a837b2e17aeb01e",
+    "box_all_drivers/random_search": "be45ab7fa8395970641616e06501184a5d5c0e813bde90d623a8a26883c06b0c",
     "default_grid/adaptive_liso": "90b0628ac0bed894986b632b4d383bb28626eeb101c7f3b5b776747d9eab8d69",
     "default_grid/adaptive_random_search": "de87144b9379f559ff047e7a7d0b895596d9fc1ecc9025c927c5ad1c4d299107",
     "default_grid/isotropic_es": "6be5088c8685dcb456f3b84bd213e97f67651f62a1acef2a05ad0e3bc27e5e74",
@@ -221,6 +229,9 @@ def test_cases_reach_the_paths_they_pin():
     assert np.isnan(trace.ess[:4]).all() and not np.isnan(trace.ess[4:]).any()
     _, trace = run_case("rastrigin_box", "adaptive_liso")
     assert np.any(trace.estimates == BOX[1]) or np.any(trace.estimates == BOX[0])
+    for name in ("liso", "random_search"):
+        _, trace = run_case("box_all_drivers", name)
+        assert np.any(trace.estimates == BOX[1]) or np.any(trace.estimates == BOX[0])
     # The ES recombines the one point of the last batch on its own.
     _, trace = run_case("final_batch_of_one", "isotropic_es")
     assert not np.array_equal(trace.estimates[-1], trace.estimates[-2])
