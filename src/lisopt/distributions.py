@@ -81,10 +81,7 @@ class IsotropicGaussian:
         return self.mean.size
 
     def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        d = self.dimension
-        sq = float(np.sum((x - self.mean) ** 2))
-        return -0.5 * d * math.log(2.0 * math.pi * self.variance) - sq / (2.0 * self.variance)
+        return float(self.log_density_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def log_density_batch(self, points: Array) -> Array:
         d = self.dimension

@@ -101,7 +101,7 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not (_is_real(value) or (name == "sigma2" and value is None)):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if not all(map(_is_real, self.q0_center)):
+        if not (isinstance(self.q0_center, (list, tuple)) and all(map(_is_real, self.q0_center))):
             raise ConfigError(f"q0_center must be a list of real numbers, got {self.q0_center!r}")
         # YAML reads .inf and .nan as floats: no non-finite number means anything here.
         for name in _REAL_FIELDS:
@@ -151,7 +151,10 @@ class ExperimentSpec:
     def from_yaml(cls, path: str) -> "ExperimentSpec":
         """Load a flat YAML mapping; unknown keys are errors, not warnings."""
         with open(path, "r") as fh:
-            raw = yaml.safe_load(fh)
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a YAML mapping of keys to values")
         known = set(cls.__dataclass_fields__)

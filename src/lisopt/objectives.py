@@ -28,13 +28,14 @@ class EvaluationError(RuntimeError):
     """An objective evaluation failed (bad input, broken child process, ...)."""
 
 
-def _as_point(x, d: int) -> Array:
+def _at_point(batch_kernel: Callable[[Array], Array], x) -> float:
+    """A batch kernel's value at the one point x, a vector of finite numbers."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise EvaluationError(f"expected a vector of length {d}, got shape {x.shape}")
+    if x.ndim != 1:
+        raise EvaluationError(f"expected a vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise EvaluationError("input vector contains non-finite components")
-    return x
+    return float(batch_kernel(x[None, :])[0])
 
 
 class Objective:
@@ -101,8 +102,7 @@ class Objective:
 
 def sphere(x) -> float:
     """Sum of squares; global minimum 0 at the origin."""
-    x = _as_point(x, len(np.atleast_1d(x)))
-    return float(np.sum(x * x))
+    return _at_point(_sphere_batch, x)
 
 
 def rastrigin(x) -> float:
@@ -113,18 +113,12 @@ def rastrigin(x) -> float:
     x^2 - 10 cos(2 pi x)).  The experiments in this package depend on this
     curvature, so do not "fix" it to the textbook form.
     """
-    x = _as_point(x, len(np.atleast_1d(x)))
-    d = x.size
-    return float(10.0 * d + np.sum(4.0 * x * x - 10.0 * np.cos(np.pi * x)))
+    return _at_point(_rastrigin_batch, x)
 
 
 def ackley(x) -> float:
     """Ackley benchmark with a narrow valley around the origin."""
-    x = _as_point(x, len(np.atleast_1d(x)))
-    d = x.size
-    rms = math.sqrt(float(np.sum(x * x)) / d)
-    cos_mean = float(np.sum(np.cos(2.0 * np.pi * x))) / d
-    return float(-20.0 * math.exp(-0.2 * rms) - math.exp(cos_mean) + 20.0 + math.e)
+    return _at_point(_ackley_batch, x)
 
 
 def _sphere_batch(points: Array) -> Array:

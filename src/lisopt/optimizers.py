@@ -6,15 +6,15 @@ All drivers share the same contract: they call the objective exactly
 anytime estimate (plus squared error when the minimizer is known) at a grid
 of evaluation-count checkpoints.
 
-There is one driver loop, ``_run_adaptive``.  The adaptive methods differ
-only in the prefix estimator it reads at each checkpoint: the softmin
-average, the best point, or the rank recombination of the last batch (the
-isotropic ES).  A static run post-processes one q0 draw: ``run_liso`` and
-``run_random_search`` read the softmin and best-point estimates off the
-prefixes of one evaluated batch of ``budget`` points.  The softmin step is
-public as ``liso_from_sample``.  Every driver takes the one config class,
-``AdaptiveConfig`` (``StaticConfig`` is another name for it), and
-``METHODS`` maps each method name to its driver.
+There is one driver loop, ``_run_adaptive``, for all five methods.  They
+differ only in the prefix estimator it reads at each checkpoint (the softmin
+average, the best point, or the rank recombination of the last batch for the
+isotropic ES) and in the batch size: a static run, ``run_liso`` or
+``run_random_search``, is the loop's one-batch run, one draw of ``budget``
+points from q0, which a caller may pass in already evaluated.  The softmin
+step is public as ``liso_from_sample``, which shares the checkpoint loop.
+Every driver takes the one config class, ``AdaptiveConfig`` (``StaticConfig``
+is another name for it), and ``METHODS`` maps each method name to its driver.
 """
 
 from __future__ import annotations
@@ -134,17 +134,10 @@ def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> A
     return pts
 
 
-def _squared_errors(estimates: Array, minimizer: Optional[Array]) -> Optional[Array]:
-    if minimizer is None:
-        return None
-    diff = estimates - minimizer
-    return np.sum(diff * diff, axis=1)
-
-
-def _checked_log_density(policy, batch: Array) -> Array:
-    logq = policy.log_density_batch(batch)
-    if not np.all(np.isfinite(logq)):
-        raise ValueError("sample log-densities must be finite")
+def _checked_logq(logq, n: int) -> Array:
+    logq = np.asarray(logq, dtype=float)
+    if logq.shape != (n,) or not np.all(np.isfinite(logq)):
+        raise ValueError("sample log-densities must be finite, one per point")
     return logq
 
 
@@ -165,6 +158,8 @@ class _SoftminPrefixes:
     +inf has no weight left and falls back to its argmin point.  The arrays
     may still be filling: only their first c entries are read.
     """
+
+    weighted = True  # reads the sampling log-densities
 
     def __init__(self, points: Array, values: Array, logq: Array,
                  alpha0: Optional[float], fixed_alpha: Optional[float]):
@@ -198,10 +193,9 @@ class _BestPrefixes:
     them all.  Ties go to the lowest index.
     """
 
-    degenerate = False
-    logq = None  # unweighted: no sampling log-densities needed
+    degenerate = weighted = False
 
-    def __init__(self, points: Array, values: Array):
+    def __init__(self, points: Array, values: Array, logq: None):
         self.points, self.values = points, values
         self.best, self.upto = 0, 0
 
@@ -244,10 +238,9 @@ class _RecombinePrefixes:
     before, which is the run's current centre.
     """
 
-    degenerate = False
-    logq = None  # unweighted: no sampling log-densities needed
+    degenerate = weighted = False
 
-    def __init__(self, points: Array, values: Array, batch_size: int):
+    def __init__(self, points: Array, values: Array, logq: None, batch_size: int):
         self.points, self.values, self.batch_size = points, values, batch_size
 
     def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
@@ -259,19 +252,36 @@ class _RecombinePrefixes:
         return _recombine(self.points[lo:c], self.values[lo:c]), math.nan
 
 
-def _prefix_trace(prefixes, checkpoints: Array, with_ess: bool) -> RunTrace:
-    """The estimate of ``prefixes`` at every checkpoint, as a trace without
-    squared errors."""
-    estimates = np.empty((checkpoints.size, prefixes.points.shape[1]))
-    ess = np.empty(checkpoints.size)
-    for k, c in enumerate(checkpoints):
-        estimates[k], ess[k] = prefixes.at(int(c))
-    return RunTrace(
-        checkpoints=checkpoints,
-        estimates=estimates,
-        ess=ess if with_ess else None,
-        degenerate_final=prefixes.degenerate,
-    )
+def _checked_sample(points, values, shape=None) -> Tuple[Array, Array]:
+    """A random search's record as float arrays, checked: finite points, of
+    ``shape`` when given, and one finite or +inf value per point."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or len(points) < 1 or not np.all(np.isfinite(points)):
+        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
+    if shape is not None and points.shape != shape:
+        raise ValueError(f"the sample must hold {shape[0]} points of dimension {shape[1]}")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(points),) or np.any(np.isnan(values)) or np.any(values == -np.inf):
+        raise ValueError("values must hold one finite or +inf number per point")
+    return points, values
+
+
+def _record(trace: RunTrace, prefixes, k: int, filled: int, box=None) -> int:
+    """The checkpoint loop: records the estimate of ``prefixes``, projected
+    into ``box``, and its ESS at each checkpoint from the k-th on that the
+    first ``filled`` points reach, and whether the last one fell back to its
+    argmin point; returns the index of the next checkpoint."""
+    checkpoints = trace.checkpoints
+    while k < checkpoints.size and checkpoints[k] <= filled:
+        est, trace.ess[k] = prefixes.at(int(checkpoints[k]))
+        trace.estimates[k] = _project(est, box)
+        k += 1
+    trace.degenerate_final = prefixes.degenerate
+    return k
+
+
+def _blank_trace(checkpoints: Array, d: int) -> RunTrace:
+    return RunTrace(checkpoints, np.empty((checkpoints.size, d)), ess=np.empty(checkpoints.size))
 
 
 def liso_from_sample(
@@ -292,83 +302,59 @@ def liso_from_sample(
     the last) the trace holds the softmin average of the first k points at
     temperature ``alpha_schedule(alpha0, k, d)``, or ``fixed_alpha`` when
     given, and its ESS; a prefix whose values are all +inf falls back to its
-    argmin point.  Nothing is evaluated; ``run_liso`` is this function on one
-    draw from q0.
+    argmin point.  Nothing is evaluated; ``run_liso`` gives the same
+    estimates on one draw from q0.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) < 1 or not np.all(np.isfinite(points)):
-        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
+    points, values = _checked_sample(points, values)
     n = len(points)
-    values = np.asarray(values, dtype=float)
-    logq = np.zeros(n) if logq is None else np.asarray(logq, dtype=float)
-    if values.shape != (n,) or np.any(np.isnan(values)) or np.any(values == -np.inf):
-        raise ValueError("values must hold one finite or +inf number per point")
-    if logq.shape != (n,) or not np.all(np.isfinite(logq)):
-        raise ValueError("sample log-densities must be finite, one per point")
+    logq = np.zeros(n) if logq is None else _checked_logq(logq, n)
     if alpha0 is None and fixed_alpha is None:
         raise ValueError("give alpha0 or fixed_alpha")
     for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
         if alpha is not None and not _positive_finite(alpha):
             raise ValueError(f"{name} must be positive and finite")
+    trace = _blank_trace(_resolve_checkpoints(checkpoints, n), points.shape[1])
     prefixes = _SoftminPrefixes(points, values, logq, alpha0, fixed_alpha)
-    return _prefix_trace(prefixes, _resolve_checkpoints(checkpoints, n), True)
+    _record(trace, prefixes, 0, n)
+    return trace
 
 
 def _draw_q0(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, Array]:
     """The draw the static methods post-process: ``budget`` i.i.d. points
-    from q0 and their values."""
+    from q0 and their values, the one batch ``_run_adaptive`` would draw."""
     points = config.q0.sample(make_rng(config.seed), config.budget)
     return points, objective.evaluate_batch(points)
 
 
-def _static_run(objective: Objective, config: AdaptiveConfig,
-                sample: Optional[Tuple[Array, Array]], use_softmin: bool):
-    points, values = _draw_q0(objective, config) if sample is None else sample
-    if values.shape != (config.budget,):
-        raise ValueError("the sample must hold budget points")
-    checkpoints = _resolve_checkpoints(config.checkpoints, config.budget)
-    if use_softmin:
-        trace = liso_from_sample(points, values, checkpoints,
-                                 logq=config.q0.log_density_batch(points),
-                                 alpha0=config.alpha0, fixed_alpha=config.fixed_alpha)
-    else:
-        trace = _prefix_trace(_BestPrefixes(points, values), checkpoints, False)
-    box = config.projection_box
-    if box is not None:
-        np.clip(trace.estimates, box[0], box[1], out=trace.estimates)
-    trace.squared_errors = _squared_errors(trace.estimates, objective.known_minimizer)
-    return trace.estimates[-1].copy(), trace
-
-
-def _run_adaptive(objective: Objective, config: AdaptiveConfig, prefixes_over):
-    """The one driver loop: adaptive liso, adaptive random search and the ES.
+def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args,
+                  sample: Optional[Tuple[Array, Array]] = None):
+    """The one driver loop, of all five methods.
 
     Batches of size B are drawn from q_{k-1}; the first batch comes from q0
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
-    ``prefixes_over(points, values)`` makes the method's prefix estimator
-    over the run's buffers; it gives the estimate at each checkpoint and,
-    after each batch, the next center.  Objective values, and sampling
-    log-densities when the estimator has a ``logq`` buffer, are cached once
-    per point and validated when the batch is evaluated.  A checkpoint that
-    falls on a batch boundary also serves as the next center.
+    ``estimator(points, values, logq, *args)`` is the method's prefix
+    estimator over the run's record; it gives the estimate at each checkpoint
+    and, after each batch, the next center.  Objective values, and sampling
+    log-densities when the estimator is ``weighted``, are cached once per
+    point and validated when the batch is evaluated.  A checkpoint that falls
+    on a batch boundary also serves as the next center.
+
+    A static run is the one-batch run (B >= budget), whose batch is itself the
+    run's record: nothing is copied.  ``sample``, when given, is that batch's
+    ``(points, values)``, already evaluated, and is checked instead.
     """
     d = objective.dimension
     n = config.budget
     B = config.batch_size
     box = config.projection_box
     rng = make_rng(config.seed)
-    checkpoints = _resolve_checkpoints(config.checkpoints, n)
+    trace = _blank_trace(_resolve_checkpoints(config.checkpoints, n), d)
+    if B < n:  # each batch is copied into the run's record
+        prefixes = estimator(np.empty((n, d)), np.empty(n),
+                             np.empty(n) if estimator.weighted else None, *args)
 
-    points = np.empty((n, d))
-    values = np.empty(n)
-    prefixes = prefixes_over(points, values)
-    weighted = prefixes.logq is not None
-
-    estimates = np.empty((checkpoints.size, d))
-    ess = np.full(checkpoints.size, np.nan)
     mu = None
-    filled = 0
-    next_cp = 0
+    filled = next_cp = 0
     while filled < n:
         b = min(B, n - filled)
         if mu is None:
@@ -379,30 +365,32 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, prefixes_over):
                 adapted=IsotropicGaussian(mean=mu, variance=config.sigma2),
                 envelope=config.q0,
             )
-        batch = policy.sample(rng, b)
+        if sample is None:
+            batch = policy.sample(rng, b)
+            batch_values = objective.evaluate_batch(batch)
+        else:
+            batch, batch_values = _checked_sample(*sample, shape=(n, d))
+        logq = _checked_logq(policy.log_density_batch(batch), b) if estimator.weighted else None
         lo, filled = filled, filled + b
-        values[lo:filled] = objective.evaluate_batch(batch)
-        if weighted:
-            prefixes.logq[lo:filled] = _checked_log_density(policy, batch)
-        points[lo:filled] = batch
+        if B >= n:  # the one batch is the run's record
+            prefixes = estimator(batch, batch_values, logq, *args)
+        else:
+            prefixes.points[lo:filled] = batch
+            prefixes.values[lo:filled] = batch_values
+            if logq is not None:
+                prefixes.logq[lo:filled] = logq
 
-        while next_cp < checkpoints.size and checkpoints[next_cp] <= filled:
-            est, ess[next_cp] = prefixes.at(int(checkpoints[next_cp]))
-            estimates[next_cp] = _project(est, box)
-            next_cp += 1
-
-        if next_cp and checkpoints[next_cp - 1] == filled:
-            mu = estimates[next_cp - 1].copy()
+        next_cp = _record(trace, prefixes, next_cp, filled, box)
+        if next_cp and trace.checkpoints[next_cp - 1] == filled:
+            mu = trace.estimates[next_cp - 1].copy()
         else:
             mu = _project(prefixes.at(filled, with_ess=False)[0], box)
 
-    trace = RunTrace(
-        checkpoints=checkpoints,
-        estimates=estimates,
-        squared_errors=_squared_errors(estimates, objective.known_minimizer),
-        ess=ess if weighted else None,
-        degenerate_final=prefixes.degenerate,
-    )
+    if objective.known_minimizer is not None:
+        diff = trace.estimates - objective.known_minimizer
+        trace.squared_errors = np.sum(diff * diff, axis=1)
+    if not estimator.weighted:
+        trace.ess = None
     return mu, trace
 
 
@@ -410,8 +398,7 @@ def run_adaptive_liso(objective: Objective, config: AdaptiveConfig) -> Tuple[Arr
     """Adaptive softmin averaging: each batch recenters the sampler at the
     current weighted-average estimate, preserving a fixed exploration mixture.
     """
-    return _run_adaptive(objective, config, lambda points, values: _SoftminPrefixes(
-        points, values, np.empty(len(values)), config.alpha0, config.fixed_alpha))
+    return _run_adaptive(objective, config, _SoftminPrefixes, config.alpha0, config.fixed_alpha)
 
 
 def run_adaptive_random_search(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
@@ -421,29 +408,36 @@ def run_adaptive_random_search(objective: Objective, config: AdaptiveConfig) -> 
     return _run_adaptive(objective, config, _BestPrefixes)
 
 
+def _one_batch(config: AdaptiveConfig) -> AdaptiveConfig:
+    return dataclasses.replace(config, batch_size=config.budget)
+
+
 def run_liso(objective: Objective, config: AdaptiveConfig,
              sample: Optional[Tuple[Array, Array]] = None) -> Tuple[Array, RunTrace]:
-    """Static softmin averaging: ``liso_from_sample`` on one draw from q0.
+    """Static softmin averaging: the driver loop's one-batch run.
 
     One i.i.d. batch of ``budget`` points from q0, evaluated and weighted by
     its q0 log-densities.  At each checkpoint k the trace shows the anytime
     estimator: softmin average of the first k samples at temperature
-    alpha_schedule(alpha0, k, d), or ``fixed_alpha``.  Degenerate weights
-    (all -inf) fall back to the argmin sample.  ``sample``, when given, is
-    that draw's ``(points, values)``, already made, and nothing is evaluated.
+    alpha_schedule(alpha0, k, d), or ``fixed_alpha``, as ``liso_from_sample``
+    computes it.  Degenerate weights (all -inf) fall back to the argmin
+    sample.  ``sample``, when given, is that draw's ``(points, values)``,
+    already made, and nothing is evaluated.
     """
-    return _static_run(objective, config, sample, use_softmin=True)
+    return _run_adaptive(objective, _one_batch(config), _SoftminPrefixes,
+                         config.alpha0, config.fixed_alpha, sample=sample)
 
 
 def run_random_search(objective: Objective, config: AdaptiveConfig,
                       sample: Optional[Tuple[Array, Array]] = None) -> Tuple[Array, RunTrace]:
-    """Plain random search: the best point of one draw from q0.
+    """Plain random search: the best point of one draw from q0, the driver
+    loop's one-batch run.
 
     It reads the same sample stream as run_liso (same seed, same policy),
-    which enables paired comparisons and lets the two share one ``sample``.
-    Ties go to the lowest sample index.
+    which enables paired comparisons and lets the two share one ``sample``,
+    checked the same way.  Ties go to the lowest sample index.
     """
-    return _static_run(objective, config, sample, use_softmin=False)
+    return _run_adaptive(objective, _one_batch(config), _BestPrefixes, sample=sample)
 
 
 def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
@@ -460,8 +454,7 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
         raise ValueError("isotropic ES requires batch_size >= 2")
     # A mixture of weight 0 draws the adapted Gaussian's own stream.
     config = dataclasses.replace(config, mixture_weight=0.0, projection_box=None)
-    return _run_adaptive(objective, config, lambda points, values: _RecombinePrefixes(
-        points, values, config.batch_size))
+    return _run_adaptive(objective, config, _RecombinePrefixes, config.batch_size)
 
 
 # Method name -> (driver, smallest batch_size it accepts).

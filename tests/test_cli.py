@@ -180,6 +180,15 @@ def test_bench_unknown_key_is_usage_error(tmp_path, capsys):
     assert "bad_key" in err
 
 
+def test_bench_invalid_yaml_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("objective: sphere\ndimension: 2\n- x\n")
+    code, out, err = run_cli(capsys, "bench", "--config", str(config))
+    assert code == 2
+    assert f"{config}: not valid YAML" in err and "trial" not in err
+    assert out == ""
+
+
 def test_bench_float_budget_is_usage_error(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     spec = ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=1000,

@@ -104,6 +104,7 @@ def test_yaml_round_trip_and_unknown_key_rejection(tmp_path):
     ("sigma2", [0.5]),
     ("q0_center", [0.7, "0.7"]),
     ("q0_center", "0.7"),
+    ("q0_center", 0.5),
     ("objective", 1),
     ("title", 5),
     ("csv_out", 1),

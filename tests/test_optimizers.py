@@ -128,6 +128,24 @@ def test_random_search_best_value_nonincreasing_along_trace():
     assert np.all(np.diff(best_vals) <= 0)
 
 
+SAMPLE_POINTS = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.1, 0.0]])
+
+
+@pytest.mark.parametrize("driver", [run_liso, run_random_search])
+@pytest.mark.parametrize("points,values,message", [
+    (SAMPLE_POINTS, [np.nan, 0.0, 8.0, 0.01], "values must hold one finite or \\+inf number"),
+    (np.array([[np.inf, 0.0], [0.0, 0.0], [2.0, 2.0], [0.1, 0.0]]), [0.0, -np.inf, 8.0, 0.01],
+     "points must be a nonempty \\(n, d\\) array of finite numbers"),
+    (SAMPLE_POINTS[:3], [2.0, 0.0, 8.0], "the sample must hold 4 points of dimension 2"),
+], ids=["nan_value", "non_finite_point", "wrong_length"])
+def test_static_drivers_check_a_given_sample(driver, points, values, message):
+    obj = benchmark("sphere", 2)
+    cfg = StaticConfig(budget=4, alpha0=1.0, q0=IsotropicGaussian(np.zeros(2), 1.0), seed=1)
+    with pytest.raises(ValueError, match=message):
+        driver(obj, cfg, sample=(points, np.array(values)))
+    assert obj.eval_count == 0
+
+
 # ----------------------------------------------------------------------
 # Adaptive drivers
 # ----------------------------------------------------------------------
