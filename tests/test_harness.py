@@ -104,13 +104,13 @@ def test_yaml_round_trip_and_unknown_key_rejection(tmp_path):
     ("sigma2", [0.5]),
     ("q0_center", [0.7, "0.7"]),
     ("q0_center", "0.7"),
-    ("q0_center", 0.5),
     ("objective", 1),
     ("title", 5),
     ("csv_out", 1),
     ("svg_out", ["plot.svg"]),
     ("methods", "liso"),
     ("methods", ["liso", ["random_search"]]),
+    ("q0_center", 0.5),
 ])
 def test_spec_field_types_are_checked(field, value):
     with pytest.raises(ConfigError, match=field):
