@@ -46,15 +46,21 @@ _ORACLE_FUNCTIONS = {
 }
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+def _parse_center(text: str) -> np.ndarray:
+    try:
+        center = np.array([float(v) for v in text.split(",")])
+        if np.all(np.isfinite(center)):
+            return center
+    except ValueError:
+        pass
+    raise SystemExit2(f"--q0-center must be comma-separated finite numbers, got {text!r}")
 
 
 def _cmd_optimize(args) -> int:
     d = args.d
     if d < 1:
         raise SystemExit2(f"--d must be >= 1, got {d}")
-    center = _parse_vector(args.q0_center) if args.q0_center else np.zeros(d)
+    center = _parse_center(args.q0_center) if args.q0_center else np.zeros(d)
     if center.size != d:
         raise SystemExit2("q0-center length must equal --d")
     q0 = IsotropicGaussian(mean=center, variance=args.q0_var)
@@ -106,7 +112,8 @@ def _cmd_slope(args) -> int:
     report = parse_csv(args.csv)
     n_range = None
     if args.min_n is not None or args.max_n is not None:
-        n_range = (args.min_n or 1.0, args.max_n or float("inf"))
+        n_range = (1.0 if args.min_n is None else args.min_n,
+                   float("inf") if args.max_n is None else args.max_n)
     slope, intercept, r2 = fit_loglog_slope(report, args.method, n_range)
     print(f"slope={format_float(slope)} intercept={format_float(intercept)} "
           f"r2={format_float(r2)}")

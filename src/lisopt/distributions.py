@@ -85,6 +85,9 @@ class IsotropicGaussian:
 
     def log_density_batch(self, points: Array) -> Array:
         d = self.dimension
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != d:
+            raise ValueError(f"expected an (m, {d}) array of points, got shape {points.shape}")
         y = points - self.mean
         y *= y
         sq = _row_sum(y)

@@ -14,8 +14,10 @@ for ``budget`` evaluations, and the trial's one objective checks the count.
 
 Trials may execute in parallel; the worker count comes from the
 ``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
-process may run on).
-Aggregation folds results in trial order, so completion order never matters.
+process may run on).  Aggregation folds results in trial order, so
+completion order never matters.  The first failing trial aborts the
+experiment and cancels the trials not yet started; a failure outside any
+trial, such as a killed worker process, is the pool's own error.
 """
 
 from __future__ import annotations
@@ -208,14 +210,6 @@ def _build_objective(spec: ExperimentSpec) -> Objective:
     return benchmark(spec.objective, spec.dimension)
 
 
-class _MethodFailed(Exception):
-    """A trial task failed; names the method (or the shared draw) at fault."""
-
-    def __init__(self, where: str, message: str):
-        super().__init__(where, message)
-        self.where, self.message = where, message
-
-
 def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
     """Run every method on one trial; returns squared errors per checkpoint
     for each method.
@@ -224,9 +218,11 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
     here, so it is sampled and evaluated once for all of them.  The adaptive
     methods each make their own run.  One objective counts every evaluation
     of the trial: the draw must spend exactly ``budget`` of them,
-    post-processing none, and each adaptive run ``budget``.  A failure names
-    the method, or the shared draw, at fault.
+    post-processing none, and each adaptive run ``budget``.  A failure raises
+    the abort error: it names the method (or the shared draw) at fault, the
+    trial and its derived seed, so the failing run can be replayed alone.
     """
+    seed = derive_seed(spec.seed, trial)
     objective = _build_objective(spec)
     checkpoints = default_checkpoints(
         spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
@@ -234,7 +230,7 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
     q0 = IsotropicGaussian(mean=np.asarray(spec.q0_center, dtype=float),
                            variance=spec.q0_variance)
     config = AdaptiveConfig(
-        budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=derive_seed(spec.seed, trial),
+        budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=seed,
         sigma2=spec.sigma2, mixture_weight=spec.mixture_weight,
         batch_size=spec.batch_size, checkpoints=checkpoints,
     )
@@ -263,7 +259,8 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
                 check_spent(before, spec.budget)
             errors[method] = trace.squared_errors
     except Exception as exc:
-        raise _MethodFailed(where, str(exc)) from exc
+        raise RuntimeError(f"experiment aborted in {where}; replay with derived seed "
+                           f"{seed} (trial {trial}): {exc}") from exc
     return errors
 
 
@@ -286,32 +283,20 @@ def _worker_count() -> int:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every trial, one task each, and aggregate the traces.
 
-    Any failure aborts the experiment; the error names the method, the trial
-    and its derived seed, so the failing run can be replayed in isolation.
+    The first failing trial aborts the experiment with its own error (see
+    :func:`_run_trial`); trials not yet started are cancelled.
     """
     t0 = time.monotonic()
     checkpoints = default_checkpoints(
         spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
     )
     workers = _worker_count()
-    results: List[Dict[str, Array]] = []
-    try:
-        if workers == 1 or spec.trials == 1:
-            for trial in range(spec.trials):
-                results.append(_run_trial(spec, trial))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_trial, spec, trial) for trial in range(spec.trials)]
-                for fut in futures:
-                    results.append(fut.result())
-    except Exception as exc:
-        trial = len(results)
-        where, message = (f" in {exc.where}", exc.message) if isinstance(exc, _MethodFailed) \
-            else ("", str(exc))
-        raise RuntimeError(
-            f"experiment aborted{where}; replay with derived seed "
-            f"{derive_seed(spec.seed, trial)} (trial {trial}): {message}"
-        ) from exc
+    trials = range(spec.trials)
+    if workers == 1 or spec.trials == 1:
+        results = [_run_trial(spec, t) for t in trials]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_trial, [spec] * spec.trials, trials))
 
     methods: Dict[str, MethodStats] = {}
     for method in spec.methods:

@@ -64,20 +64,20 @@ def _simpson_weights(m: int, lo: float, hi: float) -> Tuple[Array, Array]:
 
 
 def _grid(spec: QuadratureSpec):
-    """Grid nodes (N, d), Simpson weights (N,), and per-axis node arrays."""
+    """Grid nodes (N, d) and Simpson weights (N,)."""
     axes = [_simpson_weights(spec.grid_points, lo, hi) for lo, hi in spec.domain]
     if spec.dimension == 1:
         x, w = axes[0]
-        return x[:, None], w, (x,)
+        return x[:, None], w
     (x1, w1), (x2, w2) = axes
     g1, g2 = np.meshgrid(x1, x2, indexing="ij")
     nodes = np.column_stack([g1.ravel(), g2.ravel()])
     weights = np.outer(w1, w2).ravel()
-    return nodes, weights, (x1, x2)
+    return nodes, weights
 
 
 def _shifted_boltzmann(f: Callable, spec: QuadratureSpec):
-    nodes, weights, _ = _grid(spec)
+    nodes, weights = _grid(spec)
     evaluate_batch = getattr(f, "evaluate_batch", None)
     if evaluate_batch is not None:
         values = np.asarray(evaluate_batch(nodes), dtype=float)

@@ -56,6 +56,14 @@ def test_optimize_center_dimension_mismatch_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("center", ["1,abc", "nan,0"])
+def test_optimize_bad_center_names_the_flag(capsys, center):
+    code, out, err = run_cli(capsys, "optimize", "--d", "2", "--method", "liso",
+                             "--n", "100", "--q0-center", center)
+    assert code == 2 and not out
+    assert f"--q0-center must be comma-separated finite numbers, got '{center}'" in err
+
+
 def test_optimize_static_method_checks_every_config_field(capsys):
     code, _, err = run_cli(
         capsys, "optimize", "--fn", "sphere", "--d", "2", "--method", "liso",
@@ -356,6 +364,15 @@ def test_slope_recovers_power_law(tmp_path, capsys):
     assert code == 0
     slope = float(out.split("slope=")[1].split()[0])
     assert slope == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_slope_zero_max_n_fits_no_checkpoint(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    synthetic_csv(str(path))
+    code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m",
+                             "--max-n", "0")
+    assert code == 2 and not out
+    assert "need at least 5 checkpoints in the fit range" in err
 
 
 def test_slope_unknown_method_is_usage_error(tmp_path, capsys):

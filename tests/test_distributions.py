@@ -42,6 +42,17 @@ def test_gaussian_validation():
         IsotropicGaussian(mean=np.array([np.inf]), variance=1.0)
 
 
+@pytest.mark.parametrize("weight", [None, 0.0, 0.5, 1.0])
+def test_log_density_rejects_points_of_the_wrong_dimension(weight):
+    g = IsotropicGaussian(mean=np.zeros(3), variance=1.0)
+    policy = g if weight is None else MixturePolicy(weight, g, g)
+    message = r"expected an \(m, 3\) array of points, got shape \(1, 1\)"
+    with pytest.raises(ValueError, match=message):
+        policy.log_density([0.5])
+    with pytest.raises(ValueError, match=message):
+        policy.log_density_batch(np.array([[0.5]]))
+
+
 def test_mixture_degenerate_weights_are_bit_exact():
     a = IsotropicGaussian(mean=np.zeros(2), variance=1.0)
     b = IsotropicGaussian(mean=np.ones(2), variance=2.0)

@@ -1,6 +1,8 @@
 import copy
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -248,15 +250,40 @@ def _failing_driver(objective, config, sample=None):
     raise ValueError("boom")
 
 
+# A monkeypatched driver reaches the pool's workers only when they are forked.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="workers do not inherit the monkeypatch")
+
+
+@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=needs_fork)])
 @pytest.mark.parametrize("method", ["random_search", "adaptive_liso"])
-def test_abort_names_the_method_trial_and_seed(monkeypatch, method):
-    monkeypatch.setenv("LISOPT_WORKERS", "1")
+def test_abort_names_the_method_trial_and_seed(monkeypatch, method, workers):
+    monkeypatch.setenv("LISOPT_WORKERS", workers)
     monkeypatch.setitem(optimizers.METHODS, method, (_failing_driver, 1))
     with pytest.raises(RuntimeError) as info:
         run_experiment(small_spec(methods=["liso", method]))
     assert str(info.value) == (
         f"experiment aborted in method {method}; replay with derived seed "
         f"{derive_seed(7, 0)} (trial 0): boom")
+
+
+@needs_fork
+def test_abort_cancels_the_trials_not_yet_started(monkeypatch, tmp_path):
+    monkeypatch.setenv("LISOPT_WORKERS", "2")
+    calls = tmp_path / "calls"
+
+    def slow_driver(objective, config):
+        with open(calls, "a") as fh:
+            fh.write(f"{config.seed}\n")
+        if config.seed == derive_seed(7, 0):
+            raise ValueError("boom")
+        time.sleep(0.05)
+        return optimizers.run_adaptive_liso(objective, config)
+
+    monkeypatch.setitem(optimizers.METHODS, "adaptive_liso", (slow_driver, 1))
+    with pytest.raises(RuntimeError, match=r"\(trial 0\): boom"):
+        run_experiment(small_spec(methods=["adaptive_liso"], trials=40))
+    assert len(calls.read_text().splitlines()) < 20
 
 
 def test_abort_names_a_failing_shared_draw(monkeypatch):
