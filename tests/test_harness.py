@@ -255,8 +255,13 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                 reason="workers do not inherit the monkeypatch")
 
 
-@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=needs_fork)])
-@pytest.mark.parametrize("method", ["random_search", "adaptive_liso"])
+# The in-process cases keep the ids they had before the pool cases joined them.
+@pytest.mark.parametrize("method, workers", [
+    pytest.param("random_search", "1", id="random_search"),
+    pytest.param("adaptive_liso", "1", id="adaptive_liso"),
+    pytest.param("random_search", "2", id="random_search-workers2", marks=needs_fork),
+    pytest.param("adaptive_liso", "2", id="adaptive_liso-workers2", marks=needs_fork),
+])
 def test_abort_names_the_method_trial_and_seed(monkeypatch, method, workers):
     monkeypatch.setenv("LISOPT_WORKERS", workers)
     monkeypatch.setitem(optimizers.METHODS, method, (_failing_driver, 1))
