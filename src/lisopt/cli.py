@@ -53,16 +53,16 @@ def _parse_center(text: str) -> np.ndarray:
             return center
     except ValueError:
         pass
-    raise SystemExit2(f"--q0-center must be comma-separated finite numbers, got {text!r}")
+    raise ConfigError(f"--q0-center must be comma-separated finite numbers, got {text!r}")
 
 
 def _cmd_optimize(args) -> int:
     d = args.d
     if d < 1:
-        raise SystemExit2(f"--d must be >= 1, got {d}")
+        raise ConfigError(f"--d must be >= 1, got {d}")
     center = _parse_center(args.q0_center) if args.q0_center else np.zeros(d)
     if center.size != d:
-        raise SystemExit2("q0-center length must equal --d")
+        raise ConfigError("q0-center length must equal --d")
     q0 = IsotropicGaussian(mean=center, variance=args.q0_var)
     config = AdaptiveConfig(
         budget=args.n, alpha0=args.alpha0, q0=q0, seed=args.seed, sigma2=args.sigma2,
@@ -120,10 +120,6 @@ def _cmd_slope(args) -> int:
     return 0
 
 
-class SystemExit2(Exception):
-    """Usage error diagnosed after argparse."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lisopt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--q0-center", help="comma-separated d-vector (default: origin)")
+    p.add_argument("--q0-center", help="comma-separated d-vector (default: origin); "
+                   "write a leading minus as --q0-center=-1,2")
     p.add_argument("--q0-var", type=float, default=1.0)
     p.add_argument("--sigma2", type=float)
     p.add_argument("--mixture-weight", type=float, default=0.0)
@@ -176,7 +173,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, SystemExit2, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

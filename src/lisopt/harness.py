@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -199,11 +198,6 @@ class MethodStats:
 @dataclass
 class ExperimentReport:
     methods: Dict[str, MethodStats]
-    metadata: Dict[str, object] = field(default_factory=dict)
-    single_trial: bool = False  # std undefined at 1 trial, reported as 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExperimentReport) and self.methods == other.methods
 
 
 def _build_objective(spec: ExperimentSpec) -> Objective:
@@ -286,7 +280,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     The first failing trial aborts the experiment with its own error (see
     :func:`_run_trial`); trials not yet started are cancelled.
     """
-    t0 = time.monotonic()
     checkpoints = default_checkpoints(
         spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
     )
@@ -305,7 +298,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         mean = errors.mean(axis=0)
         if spec.trials > 1:
             std = errors.std(axis=0, ddof=1)
-        else:
+        else:  # undefined at one trial, reported as 0
             std = np.zeros_like(mean)
         ci = 1.96 * std / math.sqrt(spec.trials)
         methods[method] = MethodStats(
@@ -315,18 +308,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             ci_half_width=ci,
             trials=spec.trials,
         )
-    metadata = {
-        "objective": spec.objective,
-        "dimension": spec.dimension,
-        "seed": spec.seed,
-        "budget": spec.budget,
-        "trials": spec.trials,
-        "title": spec.title,
-        "wall_clock_s": time.monotonic() - t0,
-    }
-    return ExperimentReport(
-        methods=methods, metadata=metadata, single_trial=(spec.trials == 1)
-    )
+    return ExperimentReport(methods=methods)
 
 
 # ----------------------------------------------------------------------
@@ -390,16 +372,20 @@ def csv_string(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(report: ExperimentReport, path: str) -> None:
+def _write(path: str, text: str, what: str) -> None:
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(csv_string(report))
+            fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def emit_csv(report: ExperimentReport, path: str) -> None:
+    _write(path, csv_string(report), "CSV")
 
 
 def parse_csv(path: str) -> ExperimentReport:
-    """Inverse of emit_csv for all numeric fields."""
+    """Inverse of emit_csv: ``parse_csv(path) == report``."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -459,8 +445,7 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
     """
     if not report.methods:
         raise ValueError("report has no methods to plot")
-    if not title:
-        title = str(report.metadata.get("title", "") or "mean squared error vs evaluations")
+    title = title or "mean squared error vs evaluations"
     # Escaped by hand: xml.sax.saxutils would pull urllib into every import.
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -565,8 +550,4 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
 
 
 def emit_svg_plot(report: ExperimentReport, path: str, title: str = "") -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(svg_string(report, title=title))
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {path}: {exc}") from exc
+    _write(path, svg_string(report, title=title), "SVG")

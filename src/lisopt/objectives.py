@@ -247,26 +247,22 @@ class ExternalObjective(Objective):
         writer.start()
         try:
             values = np.array([self._read_value() for _ in range(len(points))])
+            # A child that has answered every line has read every line, so the
+            # writer is done; one still writing means the child ignores its input.
+            writer.join(timeout=_CHILD_GRACE_S)
+            if writer.is_alive():
+                raise EvaluationError(
+                    f"child answered all {len(points)} lines without reading them "
+                    f"within {_CHILD_GRACE_S} s"
+                )
+            if failures:
+                raise EvaluationError(f"child pipe failure: {failures[0]}") from failures[0]
         except BaseException:
             # Killing the child first unblocks a writer stuck on a full pipe.
             self._proc.kill()
             writer.join()
             self.close()
             raise
-        # A child that has answered every line has read every line, so the
-        # writer is done; one still writing means the child ignores its input.
-        writer.join(timeout=_CHILD_GRACE_S)
-        if writer.is_alive():
-            self._proc.kill()
-            writer.join()
-            self.close()
-            raise EvaluationError(
-                f"child answered all {len(points)} lines without reading them "
-                f"within {_CHILD_GRACE_S} s"
-            )
-        if failures:
-            self.close()
-            raise EvaluationError(f"child pipe failure: {failures[0]}") from failures[0]
         return values
 
     def close(self) -> None:

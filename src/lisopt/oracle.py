@@ -16,6 +16,7 @@ call per grid (so its ``eval_count`` grows by the node count per grid).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -65,14 +66,9 @@ def _simpson_weights(m: int, lo: float, hi: float) -> Tuple[Array, Array]:
 
 def _grid(spec: QuadratureSpec):
     """Grid nodes (N, d) and Simpson weights (N,)."""
-    axes = [_simpson_weights(spec.grid_points, lo, hi) for lo, hi in spec.domain]
-    if spec.dimension == 1:
-        x, w = axes[0]
-        return x[:, None], w
-    (x1, w1), (x2, w2) = axes
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-    nodes = np.column_stack([g1.ravel(), g2.ravel()])
-    weights = np.outer(w1, w2).ravel()
+    xs, ws = zip(*(_simpson_weights(spec.grid_points, lo, hi) for lo, hi in spec.domain))
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=1)
+    weights = functools.reduce(np.multiply.outer, ws).ravel()
     return nodes, weights
 
 

@@ -64,6 +64,16 @@ def test_optimize_bad_center_names_the_flag(capsys, center):
     assert f"--q0-center must be comma-separated finite numbers, got '{center}'" in err
 
 
+def test_optimize_negative_center_needs_the_equals_form(capsys):
+    argv = ("optimize", "--d", "2", "--method", "liso", "--n", "100")
+    code, out, _ = run_cli(capsys, *argv, "--q0-center=-1,2")
+    assert code == 0 and out.startswith("estimate: ")
+    # argparse reads "-1,2" after a space as a flag, not as the value.
+    code, out, err = run_cli(capsys, *argv, "--q0-center", "-1,2")
+    assert code == 2 and not out
+    assert "--q0-center: expected one argument" in err
+
+
 def test_optimize_static_method_checks_every_config_field(capsys):
     code, _, err = run_cli(
         capsys, "optimize", "--fn", "sphere", "--d", "2", "--method", "liso",

@@ -2,6 +2,7 @@ import copy
 import math
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -163,8 +164,8 @@ def test_sigma2_defaults_to_inverse_dimension():
 def test_single_trial_statistics_are_degenerate(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "1")
     report = run_experiment(small_spec(trials=1))
-    assert report.single_trial
     for stats in report.methods.values():
+        assert stats.trials == 1
         assert np.all(stats.ci_half_width == 0)
         assert np.all(stats.std == 0)
         assert np.all(stats.mean_mse >= 0)
@@ -416,6 +417,15 @@ def test_svg_drops_nonpositive_points_with_warning():
     report.methods["m"].mean_mse[0] = 0.0
     svg = svg_string(report)
     assert "warning: dropped 1 nonpositive points for m" in svg
+
+
+def test_svg_title_defaults_and_is_taken_from_the_argument():
+    def first_text(svg):
+        return re.search(r"<text[^>]*>([^<]*)</text>", svg).group(1)
+
+    report = synthetic_report()
+    assert first_text(svg_string(report)) == "mean squared error vs evaluations"
+    assert first_text(svg_string(report, title="t")) == "t"
 
 
 def test_svg_empty_report_raises():
