@@ -13,18 +13,34 @@ validate their inputs and run these steps on fresh arrays.  The softmin
 drivers validate values and log-densities once, when each batch is evaluated,
 not on every re-weighting, run the steps on one buffer per estimate, and
 anchor each prefix at a running minimum of its values.
+
+``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
+product in lisopt goes through it, so output bits do not depend on the
+thread count.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import threading
 
 import numpy as np
 
 Array = np.ndarray
 
 
-# Rows per block of the weighted average.  OpenBLAS splits larger products
-# across threads, which changes the summation order with the thread count.
+# Rows per block of the weighted average.  Blocks alone do not make a sum
+# independent of the BLAS thread count (at d=12 a 1e5-row block differs
+# between one and two OpenBLAS threads); ``_one_blas_thread`` does.  The
+# blocks stay because runs over 1e5 points have recorded bits with blocked
+# sums.
 _AVERAGE_BLOCK_ROWS = 100_000
+
+# Held while a product runs on one thread: the OpenBLAS thread count is
+# process-wide, so two threads saving and restoring it at once could leave
+# either product, or the caller, with the other's count.
+_BLAS_LOCK = threading.Lock()
 
 
 class DegenerateWeightsError(ValueError):
@@ -54,14 +70,59 @@ def _normalize_into(w: Array) -> Array:
     return w
 
 
-def _weighted_sum(p: Array, points: Array) -> Array:
-    """p @ points, summed over fixed blocks of rows added in order, so its bits
-    do not depend on the BLAS thread count."""
+@functools.cache
+def _openblas_thread_calls():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled with
+    numpy, or None when numpy uses another BLAS build.
+
+    Looked up on first use, not at import: numpy loads the library privately,
+    so its symbols are found through numpy's own extension module.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _one_blas_thread(product, *args):
+    """``product(*args)`` with OpenBLAS on one thread; the caller's thread
+    count is restored afterwards.
+
+    OpenBLAS splits a large product across threads, and the split changes
+    the summation order, so the one-thread result is the canonical bits that
+    every machine reproduces.  Without numpy's bundled OpenBLAS this only
+    runs the product.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        return product(*args)
+    get, set_ = calls
+    with _BLAS_LOCK:
+        threads = get()
+        set_(1)
+        try:
+            return product(*args)
+        finally:
+            set_(threads)
+
+
+def _blocked_sum(p: Array, points: Array) -> Array:
     b = _AVERAGE_BLOCK_ROWS
     total = p[:b] @ points[:b]
     for start in range(b, p.size, b):
         total += p[start:start + b] @ points[start:start + b]
     return total
+
+
+def _weighted_sum(p: Array, points: Array) -> Array:
+    """p @ points, summed over fixed blocks of rows added in order, on one
+    BLAS thread, so its bits do not depend on the thread count."""
+    return _one_blas_thread(_blocked_sum, p, points)
 
 
 def _row_sum(a: Array) -> Array:
@@ -128,8 +189,8 @@ def self_normalized_average(points: Array, log_weights: Array) -> Array:
 
     The result is a convex combination of the points, and adding any constant
     to all log-weights leaves it unchanged (self-normalization): objective
-    shifts and unknown normalizers cancel.  The sum runs over fixed blocks of
-    rows, added in order, so its bits do not depend on the BLAS thread count.
+    shifts and unknown normalizers cancel.  The sum runs on one BLAS thread,
+    so its bits do not depend on the thread count.
     """
     points = np.asarray(points, dtype=float)
     lw = np.asarray(log_weights, dtype=float)

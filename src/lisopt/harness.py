@@ -17,11 +17,15 @@ Trials may execute in parallel; the worker count comes from the
 process may run on).  Aggregation folds results in trial order, so
 completion order never matters.  The first failing trial aborts the
 experiment and cancels the trials not yet started; a failure outside any
-trial, such as a killed worker process, is the pool's own error.
+trial, such as a killed worker process, is the pool's own error.  On glibc
+each pool worker keeps its freed heap instead of returning it to the OS
+between trials (``_keep_heap_resident``); the caller's own process is never
+touched.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import os
@@ -274,6 +278,36 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+# mallopt parameters of glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _glibc_mallopt():
+    """glibc's ``mallopt``, or None under another C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _keep_heap_resident() -> None:
+    """Pool worker initializer: glibc keeps freed heap up to 1 GiB instead of
+    trimming it, and serves arrays below 32 MiB from the heap instead of
+    fresh mmaps, so each trial's arrays (a 1e5x4 sample is 3.2 MB) reuse the
+    pages of the trial before rather than faulting new ones in.  A no-op
+    without glibc.
+    """
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every trial, one task each, and aggregate the traces.
 
@@ -288,7 +322,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     if workers == 1 or spec.trials == 1:
         results = [_run_trial(spec, t) for t in trials]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap_resident) as pool:
             results = list(pool.map(_run_trial, [spec] * spec.trials, trials))
 
     methods: Dict[str, MethodStats] = {}

@@ -227,7 +227,7 @@ def _recombine(batch_points: Array, batch_values: Array) -> Array:
     count, weights = isotropic_es_recombination_weights(batch_points.shape[0])
     order = np.argsort(batch_values, kind="stable")[:count]
     weights = weights / np.sum(weights)
-    return weights @ batch_points[order]
+    return _weighted_sum(weights, batch_points[order])
 
 
 class _RecombinePrefixes:

@@ -19,9 +19,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .estimators import _one_blas_thread
 
 Array = np.ndarray
 
@@ -72,8 +74,8 @@ def _grid(spec: QuadratureSpec):
     return nodes, weights
 
 
-def _shifted_boltzmann(f: Callable, spec: QuadratureSpec):
-    nodes, weights = _grid(spec)
+def _shifted_boltzmann(f: Callable, nodes: Array, alpha: float) -> Tuple[Array, float]:
+    """exp(-alpha (f - shift)) at each node, and shift = min of f on the nodes."""
     evaluate_batch = getattr(f, "evaluate_batch", None)
     if evaluate_batch is not None:
         values = np.asarray(evaluate_batch(nodes), dtype=float)
@@ -82,8 +84,7 @@ def _shifted_boltzmann(f: Callable, spec: QuadratureSpec):
     if not np.all(np.isfinite(values)):
         raise QuadratureError("objective is non-finite on the quadrature box")
     shift = float(np.min(values))
-    integrand = np.exp(-spec.alpha * (values - shift))
-    return nodes, weights, integrand, shift
+    return np.exp(-alpha * (values - shift)), shift
 
 
 def gibbs_normalizer(f: Callable, spec: QuadratureSpec) -> Tuple[float, float]:
@@ -94,22 +95,27 @@ def gibbs_normalizer(f: Callable, spec: QuadratureSpec) -> Tuple[float, float]:
     work with the pair so no underflow occurs.  The shift cancels in every
     tempered-measure ratio.
     """
-    _, weights, integrand, shift = _shifted_boltzmann(f, spec)
-    return float(np.dot(weights, integrand)), shift
+    nodes, weights = _grid(spec)
+    integrand, shift = _shifted_boltzmann(f, nodes, spec.alpha)
+    return float(_one_blas_thread(np.dot, weights, integrand)), shift
 
 
-def gibbs_mean(f: Callable, spec: QuadratureSpec) -> Array:
+def gibbs_mean(f: Callable, spec: QuadratureSpec, *,
+               grid: Optional[Tuple[Array, Array]] = None) -> Array:
     """Mean of the tempered measure pi_alpha restricted to the box.
 
     Invariant under adding a constant to f: the shift cancels exactly.
+    ``grid``, when given, is ``spec``'s nodes and Simpson weights, built once
+    by a caller that evaluates several temperatures on one grid.
     """
-    nodes, weights, integrand, _ = _shifted_boltzmann(f, spec)
-    z = float(np.dot(weights, integrand))
+    nodes, weights = _grid(spec) if grid is None else grid
+    integrand, _ = _shifted_boltzmann(f, nodes, spec.alpha)
+    z = float(_one_blas_thread(np.dot, weights, integrand))
     if z <= 0.0 or not math.isfinite(z):
         raise QuadratureError(
             "normalizer underflowed after shifting; enlarge the box"
         )
-    return (weights * integrand) @ nodes / z
+    return _one_blas_thread(np.matmul, weights * integrand, nodes) / z
 
 
 def gibbs_mean_checked(f: Callable, spec: QuadratureSpec, tol: float = 1e-6) -> Array:
@@ -142,9 +148,13 @@ def laplace_gap(
     alphas = list(alphas)
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    gaps = np.empty(len(alphas))
-    for i, alpha in enumerate(alphas):
-        mean = gibbs_mean(f, QuadratureSpec(domain, grid_points, alpha))
+    specs = [QuadratureSpec(domain, grid_points, alpha) for alpha in alphas]
+    gaps = np.empty(len(specs))
+    if specs:  # one grid serves every temperature, so no call may change it
+        grid = _grid(specs[0])
+        grid[0].flags.writeable = False
+    for i, spec in enumerate(specs):
+        mean = gibbs_mean(f, spec, grid=grid)
         gaps[i] = float(np.linalg.norm(mean - minimizer))
     return gaps
 

@@ -21,7 +21,7 @@ from lisopt import (
     normalized_weights,
     self_normalized_average,
 )
-from lisopt.estimators import _row_sum
+from lisopt.estimators import _openblas_thread_calls, _row_sum
 
 
 def test_log_weights_all_terms_vanish():
@@ -147,28 +147,84 @@ def test_bootstrap_stderr_scales_down_with_sample_size():
     assert ses[1] < ses[0] / 3
 
 
-_BLAS_PROBE = (
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+_LISO_PROBE = (
     "import hashlib, numpy as np\n"
     "from lisopt import IsotropicGaussian, StaticConfig, benchmark, run_liso\n"
-    "q0 = IsotropicGaussian(mean=np.full(4, 0.5), variance=0.25)\n"
-    "_, trace = run_liso(benchmark('sphere', 4),"
+    "q0 = IsotropicGaussian(mean=np.full({d}, 0.5), variance=0.25)\n"
+    "_, trace = run_liso(benchmark('sphere', {d}),"
     " StaticConfig(budget=150_000, alpha0=1.0, q0=q0, seed=3))\n"
     "print(hashlib.sha256(trace.estimates.tobytes()).hexdigest())\n"
 )
 
+_BLAS_PROBES = {
+    "run_liso_d4": _LISO_PROBE.format(d=4),
+    "run_liso_d12": _LISO_PROBE.format(d=12),
+    # 1601^2 nodes: np.dot and the (N, 2) product both split across threads.
+    "gibbs_mean_2d": (
+        "import hashlib, numpy as np\n"
+        "from lisopt import Objective\n"
+        "from lisopt.oracle import QuadratureSpec, gibbs_mean\n"
+        "f = Objective(2, lambda x: np.sum(x * x + 0.2 * x**3, axis=1))\n"
+        "mean = gibbs_mean(f, QuadratureSpec(((-3.0, 3.0), (-3.0, 3.0)), 1601, 2.0))\n"
+        "print(hashlib.sha256(mean.tobytes()).hexdigest())\n"
+    ),
+    "bench_static_d12_workers2": (
+        "import contextlib, hashlib, io, os, tempfile\n"
+        "from lisopt import ExperimentSpec\n"
+        "from lisopt.cli import main\n"
+        f"spec = ExperimentSpec.from_yaml({os.path.join(CONFIGS, 'sphere_static_d12.yaml')!r})\n"
+        "spec.budget, spec.trials = 100_000, 2\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    spec.csv_out = os.path.join(tmp, 'report.csv')\n"
+        "    spec.svg_out = os.path.join(tmp, 'report.svg')\n"
+        "    spec.to_yaml(os.path.join(tmp, 'spec.yaml'))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['bench', '--config', os.path.join(tmp, 'spec.yaml')]) == 0\n"
+        "    with open(spec.csv_out, 'rb') as fh:\n"
+        "        print(hashlib.sha256(fh.read()).hexdigest())\n"
+    ),
+    # The caller's count, set to 2 here, reads 2 again after a guarded product.
+    "restores_thread_count": (
+        "import numpy as np\n"
+        "from lisopt.estimators import _openblas_thread_calls, _weighted_sum\n"
+        "get, set_ = _openblas_thread_calls()\n"
+        "set_(2)\n"
+        "_weighted_sum(np.full(250_000, 4e-6), np.ones((250_000, 12)))\n"
+        "print(get())\n"
+    ),
+}
 
-def test_average_is_blas_thread_count_invariant():
-    # Above ~1.2e5 rows OpenBLAS splits one product across threads, which
-    # changes the summation order; blocked sums must not depend on it.
+_no_openblas = pytest.mark.skipif(_openblas_thread_calls() is None,
+                                  reason="numpy does not bundle OpenBLAS here")
+
+
+@pytest.mark.parametrize("probe", [
+    "run_liso_d4",
+    "run_liso_d12",
+    "gibbs_mean_2d",
+    "bench_static_d12_workers2",
+    pytest.param("restores_thread_count", marks=_no_openblas),
+])
+def test_average_is_blas_thread_count_invariant(probe):
+    # OpenBLAS splits a large product across threads (a dot above 1e4
+    # elements, a 1e5-row block at d=12), which changes the summation order.
+    # Every BLAS product runs under the one-thread guard, so its bits must
+    # not depend on OPENBLAS_NUM_THREADS.
     src = os.path.dirname(os.path.dirname(os.path.abspath(lisopt.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = []
+    outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path,
+                   LISOPT_WORKERS="2")
+        out = subprocess.run([sys.executable, "-c", _BLAS_PROBES[probe]], env=env,
                              capture_output=True, text=True, timeout=120, check=True)
-        digests.append(out.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+        outputs.append(out.stdout)
+    if probe == "restores_thread_count":
+        assert outputs == ["2\n", "2\n"]
+    else:
+        assert len(outputs[0]) == 65 and outputs[0] == outputs[1]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import math
 import multiprocessing
 import os
@@ -26,7 +27,7 @@ from lisopt import (
     run_liso,
     run_random_search,
 )
-from lisopt import optimizers
+from lisopt import estimators, harness, optimizers
 from lisopt.harness import ConfigError, _run_trial, _worker_count, csv_string, svg_string
 
 
@@ -254,6 +255,36 @@ def _failing_driver(objective, config, sample=None):
 # A monkeypatched driver reaches the pool's workers only when they are forked.
 needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                 reason="workers do not inherit the monkeypatch")
+
+
+@needs_fork
+@pytest.mark.parametrize("module, lookup", [
+    pytest.param(harness, "_glibc_mallopt", id="no_mallopt"),
+    pytest.param(estimators, "_openblas_thread_calls", id="no_openblas"),
+])
+def test_worker_count_moves_no_byte_without_the_native_calls(monkeypatch, module, lookup):
+    # Without glibc's mallopt the worker initializer does nothing, and without
+    # numpy's OpenBLAS the one-thread guard only runs the product; neither
+    # moves a byte.  Forked workers inherit the missing lookup.
+    spec = small_spec(methods=["liso", "adaptive_liso", "isotropic_es"], batch_size=50)
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    expected = csv_string(run_experiment(spec))
+    monkeypatch.setattr(module, lookup, lambda: None)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LISOPT_WORKERS", workers)
+        assert csv_string(run_experiment(spec)) == expected
+
+
+def test_native_lookups_find_nothing_elsewhere(monkeypatch):
+    # Another C library has no CS_GNU_LIBC_VERSION, and another BLAS build
+    # exports no scipy_openblas thread calls.
+    def no_glibc(name):
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    assert harness._glibc_mallopt() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert estimators._openblas_thread_calls.__wrapped__() is None
 
 
 # The in-process cases keep the ids they had before the pool cases joined them.
