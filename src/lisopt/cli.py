@@ -46,21 +46,21 @@ _ORACLE_FUNCTIONS = {
 }
 
 
-def _parse_center(text: str) -> np.ndarray:
+def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
-        center = np.array([float(v) for v in text.split(",")])
-        if np.all(np.isfinite(center)):
-            return center
+        values = np.array([float(v) for v in text.split(",")])
+        if np.all(np.isfinite(values)):
+            return values
     except ValueError:
         pass
-    raise ConfigError(f"--q0-center must be comma-separated finite numbers, got {text!r}")
+    raise ConfigError(f"{flag} must be comma-separated finite numbers, got {text!r}")
 
 
 def _cmd_optimize(args) -> int:
     d = args.d
     if d < 1:
         raise ConfigError(f"--d must be >= 1, got {d}")
-    center = _parse_center(args.q0_center) if args.q0_center else np.zeros(d)
+    center = _parse_floats(args.q0_center, "--q0-center") if args.q0_center else np.zeros(d)
     if center.size != d:
         raise ConfigError("q0-center length must equal --d")
     q0 = IsotropicGaussian(mean=center, variance=args.q0_var)
@@ -97,7 +97,7 @@ def _cmd_bench(args) -> int:
 def _cmd_oracle(args) -> int:
     f, domain, minimizer = _ORACLE_FUNCTIONS[args.fn]
     if args.alphas:
-        alphas = [float(a) for a in args.alphas.split(",")]
+        alphas = _parse_floats(args.alphas, "--alphas")
         gaps = laplace_gap(f, minimizer, domain, alphas, grid_points=args.grid)
         for a, g in zip(alphas, gaps):
             print(f"alpha={format_float(a)} gap={format_float(float(g))}")

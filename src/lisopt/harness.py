@@ -4,7 +4,9 @@ An experiment runs one or more methods on one objective for ``trials``
 independent trials, records the squared error of the anytime estimate at a
 shared checkpoint grid, and aggregates mean / std / normal 95% confidence
 half-width per checkpoint.  Everything downstream of a (spec, seed) pair is
-byte-deterministic.
+byte-deterministic.  A spec checks its fields and builds the one
+``AdaptiveConfig`` (q0, the checkpoint grid, the driver settings) that each
+trial copies with its own seed.
 
 One task runs one trial: every method of the spec, with the trial's derived
 seed.  The static methods (``liso``, ``random_search``) post-process one
@@ -14,13 +16,13 @@ for ``budget`` evaluations, and the trial's one objective checks the count.
 
 Trials may execute in parallel; the worker count comes from the
 ``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
-process may run on).  Aggregation folds results in trial order, so
-completion order never matters.  The first failing trial aborts the
-experiment and cancels the trials not yet started; a failure outside any
-trial, such as a killed worker process, is the pool's own error.  On glibc
-each pool worker keeps its freed heap instead of returning it to the OS
-between trials (``_keep_heap_resident``); the caller's own process is never
-touched.
+process may run on), capped at the trial count.  Aggregation folds results in
+trial order, so completion order never matters.  The first failing trial
+aborts the experiment and cancels the trials not yet started; a failure
+outside any trial, such as a killed worker process, is the pool's own error.
+On glibc each pool worker keeps its freed heap instead of returning it to the
+OS between trials (``_keep_heap_resident``); the caller's own process is
+never touched.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,7 +71,14 @@ def _is_real(value) -> bool:
 
 @dataclass
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    It checks field types and what only a spec has (objective, methods,
+    trials, checkpoint grid, q0), then owns ``config``: the ``AdaptiveConfig``
+    of every trial (seed 0), which checks the driver settings itself.  It is
+    not a field, so ``asdict``, ``to_yaml`` and ``==`` skip it.  Change a
+    field with ``dataclasses.replace``, which builds ``config`` anew.
+    """
 
     objective: str
     dimension: int
@@ -91,11 +100,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # YAML reads 1000.0 as a float and yes as a bool: reject both here,
-        # not deep inside trial 0.
+        # not deep inside trial 0.  Accepted numbers become plain int, float
+        # and list, so to_yaml writes back what from_yaml reads.
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         for name in _STR_FIELDS:
             value = getattr(self, name)
             if not (isinstance(value, str) or (name.endswith("_out") and value is None)):
@@ -106,15 +117,16 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not (_is_real(value) or (name == "sigma2" and value is None)):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
+            # YAML reads .inf and .nan as floats: no non-finite number means anything here.
+            if value is not None:
+                if not math.isfinite(value):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
+                setattr(self, name, float(value))
         if not (isinstance(self.q0_center, (list, tuple)) and all(map(_is_real, self.q0_center))):
             raise ConfigError(f"q0_center must be a list of real numbers, got {self.q0_center!r}")
-        # YAML reads .inf and .nan as floats: no non-finite number means anything here.
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         if not all(map(math.isfinite, self.q0_center)):
             raise ConfigError(f"q0_center entries must be finite, got {self.q0_center!r}")
+        self.q0_center = [float(v) for v in self.q0_center]
         if self.objective not in benchmark_names():
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.dimension < 1:
@@ -128,8 +140,6 @@ class ExperimentSpec:
                 raise ConfigError(f"duplicate method {m!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
         for name in ("checkpoint_start", "checkpoint_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -137,20 +147,19 @@ class ExperimentSpec:
             raise ConfigError("q0_center length must equal dimension")
         if not self.q0_variance > 0:
             raise ConfigError("q0_variance must be positive")
-        if not self.alpha0 > 0:
-            raise ConfigError("alpha0 must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        try:  # the driver settings are checked where every driver checks them
+            self.config = AdaptiveConfig(
+                self.budget, self.alpha0, IsotropicGaussian(self.q0_center, self.q0_variance),
+                seed=0, sigma2=self.sigma2, mixture_weight=self.mixture_weight,
+                batch_size=self.batch_size, checkpoints=default_checkpoints(
+                    self.budget, count=self.checkpoint_count, start=self.checkpoint_start))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        self.sigma2 = self.config.sigma2
         for m in self.methods:
             least = METHODS[m][1]
             if self.batch_size < least:
                 raise ConfigError(f"{m} requires batch_size >= {least}")
-        if not 0.0 <= self.mixture_weight <= 1.0:
-            raise ConfigError("mixture_weight must lie in [0, 1]")
-        if self.sigma2 is None:
-            self.sigma2 = 1.0 / self.dimension
-        elif not self.sigma2 > 0:
-            raise ConfigError("sigma2 must be positive")
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentSpec":
@@ -220,18 +229,8 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
     the abort error: it names the method (or the shared draw) at fault, the
     trial and its derived seed, so the failing run can be replayed alone.
     """
-    seed = derive_seed(spec.seed, trial)
     objective = _build_objective(spec)
-    checkpoints = default_checkpoints(
-        spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
-    )
-    q0 = IsotropicGaussian(mean=np.asarray(spec.q0_center, dtype=float),
-                           variance=spec.q0_variance)
-    config = AdaptiveConfig(
-        budget=spec.budget, alpha0=spec.alpha0, q0=q0, seed=seed,
-        sigma2=spec.sigma2, mixture_weight=spec.mixture_weight,
-        batch_size=spec.batch_size, checkpoints=checkpoints,
-    )
+    config = replace(spec.config, seed=derive_seed(spec.seed, trial))
 
     def check_spent(before, expected):
         spent = objective.eval_count - before
@@ -258,7 +257,7 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
             errors[method] = trace.squared_errors
     except Exception as exc:
         raise RuntimeError(f"experiment aborted in {where}; replay with derived seed "
-                           f"{seed} (trial {trial}): {exc}") from exc
+                           f"{config.seed} (trial {trial}): {exc}") from exc
     return errors
 
 
@@ -314,12 +313,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     The first failing trial aborts the experiment with its own error (see
     :func:`_run_trial`); trials not yet started are cancelled.
     """
-    checkpoints = default_checkpoints(
-        spec.budget, count=spec.checkpoint_count, start=spec.checkpoint_start
-    )
-    workers = _worker_count()
+    workers = min(_worker_count(), spec.trials)
     trials = range(spec.trials)
-    if workers == 1 or spec.trials == 1:
+    if workers == 1:
         results = [_run_trial(spec, t) for t in trials]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap_resident) as pool:
@@ -336,7 +332,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             std = np.zeros_like(mean)
         ci = 1.96 * std / math.sqrt(spec.trials)
         methods[method] = MethodStats(
-            checkpoints=checkpoints.copy(),
+            checkpoints=spec.config.checkpoints.copy(),
             mean_mse=mean,
             std=std,
             ci_half_width=ci,

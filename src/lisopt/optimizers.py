@@ -53,7 +53,8 @@ def default_checkpoints(budget: int, count: int = 30, start: int = 100) -> Array
         raise ValueError("budget must be >= 1")
     lo = min(start, budget)
     grid = np.geomspace(lo, budget, num=count)
-    pts = np.unique(np.rint(grid).astype(int))
+    # Not np.unique: its first call imports numpy.ma, about 9 ms of loading a spec.
+    pts = np.array(sorted(set(np.rint(grid).astype(int).tolist())), dtype=int)
     pts = pts[(pts >= 1) & (pts <= budget)]
     if pts.size == 0 or pts[-1] != budget:
         pts = np.append(pts, budget)

@@ -45,12 +45,12 @@ class QuadratureSpec:
         if d < 1 or d > 2:
             raise ValueError("quadrature supports d in {1, 2} only")
         for lo, hi in self.domain:
-            if not lo < hi:
-                raise ValueError("domain box must be nonempty")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError("domain box must be finite and nonempty")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and >= 3")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def dimension(self) -> int:

@@ -352,6 +352,21 @@ def test_oracle_decreasing_alphas_is_usage_error(capsys):
     assert code == 2
 
 
+def test_oracle_infinite_alpha_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--fn", "quad-cubic",
+                             "--alpha", "inf", "--grid", "101")
+    assert code == 2
+    assert "alpha must be positive and finite" in err and not out
+
+
+@pytest.mark.parametrize("alphas", ["1,x", "1,inf"])
+def test_oracle_bad_alphas_names_the_flag(capsys, alphas):
+    code, out, err = run_cli(capsys, "oracle", "--fn", "quad-cubic", "--alphas", alphas)
+    assert code == 2
+    assert f"--alphas must be comma-separated finite numbers, got '{alphas}'" in err
+    assert not out
+
+
 # ----------------------------------------------------------------------
 # slope
 # ----------------------------------------------------------------------

@@ -82,11 +82,14 @@ def test_spec_validation_errors():
 
 
 def test_yaml_round_trip_and_unknown_key_rejection(tmp_path):
-    spec = small_spec()
     path = tmp_path / "spec.yaml"
-    spec.to_yaml(str(path))
-    loaded = ExperimentSpec.from_yaml(str(path))
-    assert loaded == spec
+    for spec in (small_spec(), small_spec(budget=np.int64(400), alpha0=2),
+                 small_spec(q0_center=list(np.array([0.7, 0.7]))),
+                 small_spec(q0_center=(0.7, 0.7))):
+        spec.to_yaml(str(path))
+        assert "config" not in path.read_text()
+        loaded = ExperimentSpec.from_yaml(str(path))
+        assert loaded == spec
 
     path.write_text(path.read_text() + "tpyo_key: 3\n")
     with pytest.raises(ConfigError, match="tpyo_key"):
@@ -187,6 +190,22 @@ def test_worker_pool_matches_sequential(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "2")
     parallel = run_experiment(small_spec())
     assert sequential == parallel
+
+
+def test_pool_is_capped_at_the_trial_count(monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    expected = csv_string(run_experiment(small_spec(trials=2)))
+    sizes = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("LISOPT_WORKERS", "4")
+    assert csv_string(run_experiment(small_spec(trials=2))) == expected
+    assert sizes == [2]
 
 
 def test_bad_worker_count_names_the_variable(monkeypatch):

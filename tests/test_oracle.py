@@ -33,6 +33,10 @@ def test_spec_validation():
         QuadratureSpec(domain=((0.0, 1.0),), grid_points=4)
     with pytest.raises(ValueError):
         QuadratureSpec(domain=((0.0, 1.0),), alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        QuadratureSpec(domain=((0.0, 1.0),), alpha=math.inf)
+    with pytest.raises(ValueError, match="domain box must be finite"):
+        QuadratureSpec(domain=((0.0, math.inf),))
 
 
 def test_normalizer_constant_integrand():
