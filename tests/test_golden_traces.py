@@ -4,7 +4,7 @@ Each digest covers the returned estimate, the per-checkpoint estimates,
 squared errors and ESS, and the degenerate-fallback flag.  The specs put
 checkpoints in the middle of a batch, on a batch boundary and in a final
 partial batch, one of them a batch of one point; one spec's single batch
-covers the whole budget.  They cover mixture weights 0 and 0.3, a projection
+covers the whole budget.  They cover mixture weights 0, 0.3 and 1, a projection
 box (on the adaptive drivers, and on all five in one spec), a fixed
 temperature, an objective returning some +inf, and one whose first batch is
 all +inf so that the degenerate fallback runs.  Most specs are 3-dimensional;
@@ -102,6 +102,8 @@ CASES = {
                            {}, {"mixture_weight": 0.3}),
     "box_all_drivers": (lambda: benchmark("rastrigin", 3), 1000, CHECKPOINTS,
                         {"projection_box": BOX}, {"projection_box": BOX}),
+    "envelope_only": (lambda: benchmark("sphere", 3), 1000, CHECKPOINTS,
+                      {}, {"mixture_weight": 1.0}),
 }
 
 DRIVERS = {
@@ -138,6 +140,11 @@ GOLDEN = {
     "default_grid/isotropic_es": "6be5088c8685dcb456f3b84bd213e97f67651f62a1acef2a05ad0e3bc27e5e74",
     "default_grid/liso": "b5734e6e1fea57b59c889886aa5e0b1426564c2663a065260dc3856b1a80af08",
     "default_grid/random_search": "58edf467969522c09fc24e191e22e2adc0ecc8ca354886bf9e4a8273d3929802",
+    "envelope_only/adaptive_liso": "a0b6e20edd9edb2aa69fd4d10a9c42af25acc97a277d376cd151797b067eafa9",
+    "envelope_only/adaptive_random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
+    "envelope_only/isotropic_es": "e0033a6a617ce77d0fc2d1471338451330a57b2b1cfba0d2b6e7c35ccb51478a",
+    "envelope_only/liso": "a0b6e20edd9edb2aa69fd4d10a9c42af25acc97a277d376cd151797b067eafa9",
+    "envelope_only/random_search": "f2e5df4c11f17416ac6b06562b55ae595eaa3d27495611426e733c127621a370",
     "final_batch_of_one/adaptive_liso": "c6895694a66b567b4721abfa2cea1d8ea260bb43a7c560a94ba6086bb2772b9c",
     "final_batch_of_one/adaptive_random_search": "32ff7bbe5ab5aa6be3cfb63fb9818a960d618899b716b03f313c4b86860c4344",
     "final_batch_of_one/isotropic_es": "ae2bd4ce0d55021e870de4ec658b7a58b0f4ed1b7f5f634a9c41300545bc4a87",
@@ -232,6 +239,11 @@ def test_cases_reach_the_paths_they_pin():
     for name in ("liso", "random_search"):
         _, trace = run_case("box_all_drivers", name)
         assert np.any(trace.estimates == BOX[1]) or np.any(trace.estimates == BOX[0])
+    # A mixture of weight 1 draws every batch from q0, so the adaptive runs
+    # read the static runs' stream and record the same traces.
+    for adaptive, static in (("adaptive_liso", "liso"), ("adaptive_random_search", "random_search")):
+        assert trace_digest(*run_case("envelope_only", adaptive)) == \
+            trace_digest(*run_case("envelope_only", static))
     # The ES recombines the one point of the last batch on its own.
     _, trace = run_case("final_batch_of_one", "isotropic_es")
     assert not np.array_equal(trace.estimates[-1], trace.estimates[-2])
