@@ -12,8 +12,13 @@ so trials are reproducible independently and in parallel.
 Sampling is affine: a policy scales a block of standard normals by its
 standard deviations and adds its means, in place in the block it drew.  That
 is the same two roundings per element as ``mean + std * z``, so the samples
-are bit-identical to the out-of-place formula.  Log-densities likewise square
-and sum in place, with the fixed-order row sum of :mod:`lisopt.estimators`.
+are bit-identical to the out-of-place formula.  ``sample(rng, count, out=buf)``
+draws into a caller's C-contiguous (count, d) float buffer instead of a new
+array: ``standard_normal(out=buf)`` gives the bits of
+``standard_normal((count, d))`` and advances the generator alike, so a sample
+and the stream after it do not depend on whether ``out`` is given.
+Log-densities likewise square and sum in place, with the fixed-order row sum
+of :mod:`lisopt.estimators`.
 
 Policies are immutable after construction and safe to share between workers;
 generators are never shared.
@@ -71,7 +76,7 @@ class IsotropicGaussian:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         object.__setattr__(self, "mean", mean)
-        if mean.ndim != 1 or not np.all(np.isfinite(mean)):
+        if mean.ndim != 1 or not np.isfinite(mean).all():
             raise ValueError("mean must be a finite 1-d vector")
         if not (self.variance > 0) or not math.isfinite(self.variance):
             raise ValueError("variance must be positive and finite")
@@ -94,10 +99,10 @@ class IsotropicGaussian:
         sq /= 2.0 * self.variance
         return np.subtract(-0.5 * d * np.log(2.0 * np.pi * self.variance), sq, out=sq)
 
-    def sample(self, rng: np.random.Generator, count: int) -> Array:
+    def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
         if count < 1:
             raise ValueError("count must be >= 1")
-        z = rng.standard_normal((count, self.dimension))
+        z = rng.standard_normal((count, self.dimension), out=out)
         z *= math.sqrt(self.variance)
         z += self.mean
         return z
@@ -140,17 +145,17 @@ class MixturePolicy:
         m = np.maximum(a, b)
         return m + np.log(np.exp(a - m) + np.exp(b - m))
 
-    def sample(self, rng: np.random.Generator, count: int) -> Array:
+    def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
         if count < 1:
             raise ValueError("count must be >= 1")
         # Degenerate mixtures skip the component-selection uniforms so that
         # their sample stream coincides with sampling the component directly.
         if self.weight == 0.0:
-            return self.adapted.sample(rng, count)
+            return self.adapted.sample(rng, count, out)
         if self.weight == 1.0:
-            return self.envelope.sample(rng, count)
+            return self.envelope.sample(rng, count, out)
         pick_envelope = rng.random(count) < self.weight
-        z = rng.standard_normal((count, self.dimension))
+        z = rng.standard_normal((count, self.dimension), out=out)
         means = np.where(pick_envelope[:, None], self.envelope.mean, self.adapted.mean)
         stds = np.where(
             pick_envelope,

@@ -11,8 +11,9 @@ buffer: ``_log_weights_into``, ``_normalize_into``, ``_weighted_sum`` and
 and the sampling densities use on their (n, d) arrays.  The public functions
 validate their inputs and run these steps on fresh arrays.  The softmin
 drivers validate values and log-densities once, when each batch is evaluated,
-not on every re-weighting, run the steps on one buffer per estimate, and
-anchor each prefix at a running minimum of its values.
+not on every re-weighting; they anchor each prefix at a running minimum of
+its values, keep the shifted values ``values - ref`` from one re-weighting to
+the next, and run the steps on one work buffer per run.
 
 ``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
 product in lisopt goes through it, so output bits do not depend on the
@@ -47,26 +48,25 @@ class DegenerateWeightsError(ValueError):
     """Every log-weight is -inf; the caller decides the fallback."""
 
 
-def _log_weights_into(out: Array, alpha: float, values: Array, logq: Array, ref: float) -> Array:
-    """out = -alpha * (values - ref) - logq, in place; returns ``out``.
+def _log_weights_into(out: Array, alpha: float, shifted: Array, logq: Array) -> Array:
+    """out = shifted * -alpha - logq, in place; returns ``out``.
 
-    ``ref`` must be finite.  A +inf value maps to a -inf log-weight.
+    ``shifted`` holds ``values - ref`` for a finite ``ref`` and may be ``out``
+    itself.  A +inf value maps to a -inf log-weight.
     """
-    with np.errstate(invalid="ignore"):
-        np.subtract(values, ref, out=out)
-        out *= -alpha
-        out -= logq
+    np.multiply(shifted, -alpha, out=out)
+    out -= logq
     return out
 
 
 def _normalize_into(w: Array) -> Array:
     """Max-shifted softmax of the log-weights in ``w``, in place; returns ``w``."""
-    m = np.max(w)
+    m = w.max()
     if m == -np.inf:
         raise DegenerateWeightsError("all log-weights are -inf")
     w -= m
     np.exp(w, out=w)
-    w /= np.sum(w)
+    w /= w.sum()
     return w
 
 
@@ -96,7 +96,7 @@ def _one_blas_thread(product, *args):
     OpenBLAS splits a large product across threads, and the split changes
     the summation order, so the one-thread result is the canonical bits that
     every machine reproduces.  Without numpy's bundled OpenBLAS this only
-    runs the product.
+    runs the product; on one thread already, it sets nothing.
     """
     calls = _openblas_thread_calls()
     if calls is None:
@@ -104,6 +104,8 @@ def _one_blas_thread(product, *args):
     get, set_ = calls
     with _BLAS_LOCK:
         threads = get()
+        if threads == 1:
+            return product(*args)
         set_(1)
         try:
             return product(*args)
@@ -147,7 +149,7 @@ def _row_sum(a: Array) -> Array:
 
 def _kish_ess(p: Array) -> float:
     """1 / sum(p_i^2) for normalized weights p."""
-    return float(1.0 / np.sum(p * p))
+    return float(1.0 / (p * p).sum())
 
 
 def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array) -> Array:
@@ -176,7 +178,9 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
     ref = np.min(values) if values.size else np.inf
     if ref == np.inf:
         return np.full(values.shape, -np.inf)
-    return _log_weights_into(np.empty(values.shape), alpha, values, logq, ref)
+    with np.errstate(invalid="ignore"):  # an infinite alpha times a zero shift
+        shifted = np.subtract(values, ref, out=np.empty(values.shape))
+        return _log_weights_into(shifted, alpha, shifted, logq)
 
 
 def normalized_weights(log_weights: Array) -> Array:

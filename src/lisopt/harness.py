@@ -63,10 +63,22 @@ _INT_FIELDS = ("dimension", "budget", "seed", "trials", "batch_size",
                "checkpoint_start", "checkpoint_count")
 _REAL_FIELDS = ("alpha0", "q0_variance", "mixture_weight", "sigma2")
 _STR_FIELDS = ("objective", "title", "csv_out", "svg_out")
+_INT64_MAX = 2**63 - 1
 
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_float(name: str, value) -> float:
+    """A real ``value`` as a float; a ConfigError naming ``name`` if it is not finite."""
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 @dataclass
@@ -106,6 +118,9 @@ class ExperimentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # Counts index numpy arrays; a seed is only ever taken modulo 2**64.
+            if name != "seed" and value > _INT64_MAX:
+                raise ConfigError(f"{name} must be at most 2**63 - 1")
             setattr(self, name, int(value))
         for name in _STR_FIELDS:
             value = getattr(self, name)
@@ -119,14 +134,10 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             # YAML reads .inf and .nan as floats: no non-finite number means anything here.
             if value is not None:
-                if not math.isfinite(value):
-                    raise ConfigError(f"{name} must be finite, got {value!r}")
-                setattr(self, name, float(value))
+                setattr(self, name, _finite_float(name, value))
         if not (isinstance(self.q0_center, (list, tuple)) and all(map(_is_real, self.q0_center))):
             raise ConfigError(f"q0_center must be a list of real numbers, got {self.q0_center!r}")
-        if not all(map(math.isfinite, self.q0_center)):
-            raise ConfigError(f"q0_center entries must be finite, got {self.q0_center!r}")
-        self.q0_center = [float(v) for v in self.q0_center]
+        self.q0_center = [_finite_float("q0_center entries", v) for v in self.q0_center]
         if self.objective not in benchmark_names():
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.dimension < 1:

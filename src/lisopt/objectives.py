@@ -7,6 +7,8 @@ the evaluation counter so that all methods are compared on identical budgets.
 from __future__ import annotations
 
 import math
+import os
+import select
 import shlex
 import subprocess
 import threading
@@ -83,14 +85,15 @@ class Objective:
             raise EvaluationError(
                 f"expected an (m, {self.dimension}) array, got shape {points.shape}"
             )
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise EvaluationError("input points contain non-finite components")
         values = np.asarray(self._batch(points), dtype=float)
         if values.shape != (points.shape[0],):
             raise EvaluationError("evaluator returned a wrongly shaped result")
         # NaN and -inf can never be absorbed by the log-weight core; +inf maps
-        # to a zero weight downstream and is allowed through.
-        if np.any(np.isnan(values)) or np.any(values == -np.inf):
+        # to a zero weight downstream and is allowed through.  One comparison
+        # rejects both: NaN > -inf is false.
+        if not (values > -np.inf).all():
             raise EvaluationError("evaluator returned NaN or -inf")
         self.eval_count += points.shape[0]
         return values
@@ -266,15 +269,16 @@ class ExternalObjective(Objective):
         return values
 
     def close(self) -> None:
-        """End the child's input, wait up to 5 s for it to exit, then kill it."""
+        """End the child's input, wait up to 5 s for it to exit, then kill it.
+
+        The child is always reaped: ``returncode`` is set afterwards.
+        """
         proc = self._proc
         try:
             proc.stdin.close()
         except OSError:  # unsent input to a dead child is dropped
             pass
-        try:
-            proc.wait(timeout=_CHILD_GRACE_S)
-        except subprocess.TimeoutExpired:
+        if proc.poll() is None and not _exits_within(proc, _CHILD_GRACE_S):
             proc.kill()
             proc.wait()
         proc.stdout.close()
@@ -284,6 +288,32 @@ class ExternalObjective(Objective):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _exits_within(proc: subprocess.Popen, seconds: float) -> bool:
+    """Wait up to ``seconds`` for an unreaped child to exit, and reap it if it
+    does; returns whether it did.
+
+    The wait blocks on a pidfd, which wakes as soon as the child exits, where
+    ``Popen.wait(timeout)`` polls with sleeps; without pidfds it is that.
+    """
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        try:
+            proc.wait(timeout=seconds)
+        except subprocess.TimeoutExpired:
+            return False
+        return True
+    try:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        exited = bool(poller.poll(seconds * 1000))
+    finally:
+        os.close(fd)
+    if exited:
+        proc.wait()
+    return exited
 
 
 def external_objective(command: Union[str, Sequence[str]], dimension: int) -> ExternalObjective:

@@ -20,6 +20,7 @@ is another name for it), and ``METHODS`` maps each method name to its driver.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -137,7 +138,7 @@ def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> A
 
 def _checked_logq(logq, n: int) -> Array:
     logq = np.asarray(logq, dtype=float)
-    if logq.shape != (n,) or not np.all(np.isfinite(logq)):
+    if logq.shape != (n,) or not np.isfinite(logq).all():
         raise ValueError("sample log-densities must be finite, one per point")
     return logq
 
@@ -151,13 +152,16 @@ def _project(x: Array, box: Optional[Tuple[Array, Array]]) -> Array:
 class _SoftminPrefixes:
     """Softmin averages of growing prefixes of one evaluated sample.
 
-    ``at(c)`` re-weights the first c points in place in one fresh buffer of
-    length c, log-weights and then normalized weights, so the average and the
-    ESS come from the same weights.  The log-weights are anchored at the
-    smallest value among the c points; prefixes are asked for in increasing
-    c, so one running minimum serves them all.  A prefix whose values are all
-    +inf has no weight left and falls back to its argmin point.  The arrays
-    may still be filling: only their first c entries are read.
+    ``at(c)`` re-weights the first c points, log-weights and then normalized
+    weights, in place in one work buffer of the sample's length, so the
+    average and the ESS come from the same weights.  The log-weights are
+    anchored at the smallest value among the c points; prefixes are asked for
+    in increasing c, so one running minimum ``ref`` serves them all, and the
+    shifted values ``values - ref`` are kept from one prefix to the next: new
+    points extend them while the minimum holds, and all are recomputed when
+    it falls.  A prefix whose values are all +inf has no weight left and falls
+    back to its argmin point.  The arrays may still be filling: only their
+    first c entries are read.
     """
 
     weighted = True  # reads the sampling log-densities
@@ -167,6 +171,8 @@ class _SoftminPrefixes:
         self.points, self.values, self.logq = points, values, logq
         self.alpha0, self.fixed_alpha = alpha0, fixed_alpha
         self.ref, self.upto = math.inf, 0  # ref = min(values[:upto])
+        self.shifted, self.work = np.empty(len(values)), np.empty(len(values))
+        self.fresh = 0  # shifted[:fresh] = values[:fresh] - ref
 
     @property
     def degenerate(self) -> bool:
@@ -175,15 +181,18 @@ class _SoftminPrefixes:
 
     def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
         """Softmin average of the first c points, and its ESS when asked (else NaN)."""
-        self.ref = min(self.ref, self.values[self.upto:c].min())
+        low = self.values[self.upto:c].min()
+        if low < self.ref:
+            self.ref, self.fresh = low, 0
         self.upto = c
         if self.degenerate:
             return self.points[np.argmin(self.values[:c])], math.nan
+        np.subtract(self.values[self.fresh:c], self.ref, out=self.shifted[self.fresh:c])
+        self.fresh = c
         alpha = self.fixed_alpha
         if alpha is None:
             alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
-        p = _normalize_into(
-            _log_weights_into(np.empty(c), alpha, self.values[:c], self.logq[:c], self.ref))
+        p = _normalize_into(_log_weights_into(self.work[:c], alpha, self.shifted[:c], self.logq[:c]))
         return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
 
 
@@ -222,12 +231,20 @@ def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
     return count, weights
 
 
+@functools.lru_cache(maxsize=64)
+def _normalized_recombination_weights(batch_size: int) -> Array:
+    """The recombination weights of a batch, divided by their sum; read-only."""
+    weights = isotropic_es_recombination_weights(batch_size)[1]
+    weights /= np.sum(weights)
+    weights.flags.writeable = False
+    return weights
+
+
 def _recombine(batch_points: Array, batch_values: Array) -> Array:
     if batch_points.shape[0] == 1:
         return batch_points[0].copy()
-    count, weights = isotropic_es_recombination_weights(batch_points.shape[0])
-    order = np.argsort(batch_values, kind="stable")[:count]
-    weights = weights / np.sum(weights)
+    weights = _normalized_recombination_weights(batch_points.shape[0])
+    order = batch_values.argsort(kind="stable")[:weights.size]
     return _weighted_sum(weights, batch_points[order])
 
 
@@ -257,12 +274,12 @@ def _checked_sample(points, values, shape=None) -> Tuple[Array, Array]:
     """A random search's record as float arrays, checked: finite points, of
     ``shape`` when given, and one finite or +inf value per point."""
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) < 1 or not np.all(np.isfinite(points)):
+    if points.ndim != 2 or len(points) < 1 or not np.isfinite(points).all():
         raise ValueError("points must be a nonempty (n, d) array of finite numbers")
     if shape is not None and points.shape != shape:
         raise ValueError(f"the sample must hold {shape[0]} points of dimension {shape[1]}")
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(points),) or np.any(np.isnan(values)) or np.any(values == -np.inf):
+    if values.shape != (len(points),) or not (values > -np.inf).all():  # no NaN, no -inf
         raise ValueError("values must hold one finite or +inf number per point")
     return points, values
 
@@ -335,13 +352,15 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
     ``estimator(points, values, logq, *args)`` is the method's prefix
     estimator over the run's record; it gives the estimate at each checkpoint
-    and, after each batch, the next center.  Objective values, and sampling
+    and, after each batch, the next center.  Each batch is drawn straight
+    into its rows of the record (``sample(..., out)``, the bits of a fresh
+    draw), so no point is copied.  Objective values, and sampling
     log-densities when the estimator is ``weighted``, are cached once per
     point and validated when the batch is evaluated.  A checkpoint that falls
     on a batch boundary also serves as the next center.
 
     A static run is the one-batch run (B >= budget), whose batch is itself the
-    run's record: nothing is copied.  ``sample``, when given, is that batch's
+    run's record.  ``sample``, when given, is that batch's
     ``(points, values)``, already evaluated, and is checked instead.
     """
     d = objective.dimension
@@ -350,7 +369,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     box = config.projection_box
     rng = make_rng(config.seed)
     trace = _blank_trace(_resolve_checkpoints(config.checkpoints, n), d)
-    if B < n:  # each batch is copied into the run's record
+    if B < n:  # each batch is drawn into the run's record
         prefixes = estimator(np.empty((n, d)), np.empty(n),
                              np.empty(n) if estimator.weighted else None, *args)
 
@@ -366,17 +385,16 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
                 adapted=IsotropicGaussian(mean=mu, variance=config.sigma2),
                 envelope=config.q0,
             )
+        lo, filled = filled, filled + b
         if sample is None:
-            batch = policy.sample(rng, b)
+            batch = policy.sample(rng, b, None if B >= n else prefixes.points[lo:filled])
             batch_values = objective.evaluate_batch(batch)
         else:
             batch, batch_values = _checked_sample(*sample, shape=(n, d))
         logq = _checked_logq(policy.log_density_batch(batch), b) if estimator.weighted else None
-        lo, filled = filled, filled + b
         if B >= n:  # the one batch is the run's record
             prefixes = estimator(batch, batch_values, logq, *args)
         else:
-            prefixes.points[lo:filled] = batch
             prefixes.values[lo:filled] = batch_values
             if logq is not None:
                 prefixes.logq[lo:filled] = logq

@@ -269,6 +269,25 @@ def test_bench_non_finite_number_is_usage_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("alpha0", "1" + "0" * 400, "alpha0 must be finite"),
+    ("q0_center", f"[0.5, {10**400}]", "q0_center entries must be finite"),
+    ("budget", str(10**30), "budget must be at most 2**63 - 1"),
+], ids=["alpha0", "q0_center", "budget"])
+def test_bench_over_large_integer_is_usage_error(tmp_path, capsys, key, value, message):
+    fields = {"objective": "sphere", "dimension": "2", "methods": "[liso]", "budget": "100",
+              "seed": "1", "alpha0": "1.0", "q0_center": "[0.5, 0.5]", "q0_variance": "1.0",
+              "trials": "2", key: value}
+    config = tmp_path / "exp.yaml"
+    config.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+    code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                           "--csv-out", str(tmp_path / "r.csv"),
+                           "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2
+    assert message in err and "trial" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [("checkpoint_start", 0), ("checkpoint_count", -3)])
 def test_bench_nonpositive_checkpoint_field_is_usage_error(tmp_path, capsys, key, value):
     config = tmp_path / "exp.yaml"

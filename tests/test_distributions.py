@@ -129,3 +129,23 @@ def test_derived_streams_are_reproducible_and_distinct():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert derive_seed(99, 0) != derive_seed(99, 1)
+
+
+def _policies(d=3):
+    q0 = IsotropicGaussian(mean=np.full(d, 2.0), variance=0.5)
+    adapted = IsotropicGaussian(mean=np.linspace(-1.0, 1.0, d), variance=0.3)
+    return [q0] + [MixturePolicy(weight=w, adapted=adapted, envelope=q0) for w in (0.0, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("policy", _policies(), ids=["gaussian", "mix0", "mix0.3", "mix1"])
+def test_sampling_into_a_buffer_gives_the_same_bits_and_stream(policy):
+    expected_rng, rng = make_rng(9), make_rng(9)
+    record = np.full((40, 3), np.nan)
+    for lo, k in ((0, 7), (7, 30), (37, 3)):  # consecutive rows of one record
+        expected = policy.sample(expected_rng, k)
+        buf = record[lo:lo + k]
+        assert policy.sample(rng, k, out=buf) is buf
+        assert buf.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    with pytest.raises(ValueError):
+        policy.sample(rng, 4, out=np.empty((5, 3)))

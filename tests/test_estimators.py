@@ -21,6 +21,7 @@ from lisopt import (
     normalized_weights,
     self_normalized_average,
 )
+from lisopt import estimators
 from lisopt.estimators import _openblas_thread_calls, _row_sum
 
 
@@ -225,6 +226,14 @@ def test_average_is_blas_thread_count_invariant(probe):
         assert outputs == ["2\n", "2\n"]
     else:
         assert len(outputs[0]) == 65 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("count,expected", [(1, ["product"]), (2, [1, "product", 2])])
+def test_one_blas_thread_sets_the_count_only_when_it_differs(monkeypatch, count, expected):
+    calls = []
+    monkeypatch.setattr(estimators, "_openblas_thread_calls", lambda: (lambda: count, calls.append))
+    assert estimators._one_blas_thread(lambda x: calls.append("product") or x, 7) == 7
+    assert calls == expected
 
 
 # ----------------------------------------------------------------------

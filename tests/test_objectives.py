@@ -248,3 +248,32 @@ def test_external_child_that_never_reads_is_killed():
         return True
 
     assert finish_within(30, evaluate)
+
+
+@pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "no_pidfd"])
+def test_external_close_reaps_the_child(monkeypatch, pidfd):
+    if not pidfd:  # the portable path: Popen.wait with a timeout
+        monkeypatch.delattr("os.pidfd_open", raising=False)
+    obj = external_objective(SPHERE_STUB, 2)
+    assert obj(np.ones(2)) == 2.0
+    obj.close()
+    assert obj._proc.returncode == 0
+
+
+# Ignores the end of its input and never exits on its own.
+IGNORE_EOF_STUB = [sys.executable, "-u", "-c", (
+    "import sys, time\n"
+    "sys.stdin.read()\n"
+    "time.sleep(60)\n"
+)]
+
+
+@pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "no_pidfd"])
+def test_external_close_kills_a_child_that_does_not_exit(monkeypatch, pidfd):
+    from lisopt import objectives
+    monkeypatch.setattr(objectives, "_CHILD_GRACE_S", 0.2)
+    if not pidfd:
+        monkeypatch.delattr("os.pidfd_open", raising=False)
+    obj = external_objective(IGNORE_EOF_STUB, 2)
+    finish_within(10, lambda: obj.close())
+    assert obj._proc.returncode is not None and obj._proc.returncode < 0  # killed

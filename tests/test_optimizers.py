@@ -15,16 +15,19 @@ from lisopt import (
     default_checkpoints,
     derive_seed,
     isotropic_es_recombination_weights,
+    effective_sample_size,
     laplace_log_weights,
     liso_from_sample,
     make_rng,
+    normalized_weights,
     run_adaptive_liso,
     run_adaptive_random_search,
     run_isotropic_es,
     run_liso,
     run_random_search,
 )
-from lisopt.optimizers import _recombine
+from lisopt.estimators import _weighted_sum
+from lisopt.optimizers import _normalized_recombination_weights, _recombine, _SoftminPrefixes
 
 D4_NEAR = IsotropicGaussian(mean=np.full(4, 0.5), variance=0.25)
 
@@ -297,6 +300,17 @@ def test_es_recombination_is_permutation_invariant():
     assert np.allclose(_recombine(pts[perm], vals[perm]), base, atol=1e-12)
 
 
+def test_es_recombination_weights_are_computed_once_and_read_only():
+    rng = make_rng(22)
+    pts, vals = rng.standard_normal((9, 2)), rng.standard_normal(9)
+    count, w = isotropic_es_recombination_weights(9)
+    cached = _normalized_recombination_weights(9)
+    assert cached is _normalized_recombination_weights(9) and not cached.flags.writeable
+    assert cached.tobytes() == (w / np.sum(w)).tobytes()
+    order = np.argsort(vals, kind="stable")[:count]
+    assert _recombine(pts, vals).tobytes() == _weighted_sum(cached, pts[order]).tobytes()
+
+
 def test_es_runs_and_respects_budget():
     obj = benchmark("sphere", 3)
     cfg = AdaptiveConfig(budget=1050, alpha0=1.0,
@@ -452,3 +466,30 @@ def test_liso_from_sample_checks_its_inputs(change, message):
     kw.update(change)
     with pytest.raises(ValueError, match=message):
         liso_from_sample(kw.pop("points"), kw.pop("values"), kw.pop("checkpoints"), **kw)
+
+
+@pytest.mark.parametrize("alpha0,fixed_alpha", [(1.5, None), (None, 2.0)])
+def test_softmin_prefixes_equal_the_public_estimators_on_every_prefix(alpha0, fixed_alpha):
+    # The prefixes keep values - min from one re-weighting to the next; each
+    # must still equal a from-scratch re-weighting, bit for bit.  The first 12
+    # values are +inf, and the minimum falls again mid-run and near the end.
+    rng = make_rng(23)
+    n, d = 400, 3
+    points = rng.standard_normal((n, d))
+    values = rng.uniform(5.0, 9.0, n)
+    values[:12] = np.inf
+    values[rng.choice(np.arange(12, n), 40, replace=False)] = np.inf
+    values[200], values[390] = 1.0, 0.25
+    logq = rng.standard_normal(n)
+    prefixes = _SoftminPrefixes(points, values, logq, alpha0, fixed_alpha)
+    for c in range(1, n + 1):
+        estimate, ess = prefixes.at(c)
+        if c <= 12:
+            assert prefixes.degenerate and math.isnan(ess)
+            assert estimate.tobytes() == points[0].tobytes()
+            continue
+        alpha = fixed_alpha or alpha_schedule(alpha0, c, d)
+        lw = laplace_log_weights(alpha, values[:c], logq[:c])
+        expected = _weighted_sum(normalized_weights(lw), points[:c])
+        assert estimate.tobytes() == expected.tobytes(), c
+        assert ess == effective_sample_size(lw), c
