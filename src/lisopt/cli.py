@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -85,9 +86,12 @@ def _cmd_bench(args) -> int:
     spec = ExperimentSpec.from_yaml(args.config)
     if args.trials is not None:
         spec = dataclasses.replace(spec, trials=args.trials)
-    report = run_experiment(spec)
     csv_path = args.csv_out or spec.csv_out or "report.csv"
     svg_path = args.svg_out or spec.svg_out or "report.svg"
+    for path in (csv_path, svg_path):  # before any trial runs
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: its directory does not exist")
+    report = run_experiment(spec)
     emit_csv(report, csv_path)
     emit_svg_plot(report, svg_path, title=spec.title)
     print(f"wrote {csv_path} and {svg_path}")

@@ -529,30 +529,21 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>'
     )
-    for decade in range(math.ceil(math.log10(xlim[0])), math.floor(math.log10(xlim[1])) + 1):
-        x = 10.0**decade
-        px = _ML + (math.log10(x) - math.log10(xlim[0])) / (
-            math.log10(xlim[1]) - math.log10(xlim[0])
-        ) * (_W - _ML - _MR)
-        out.append(
-            f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" y2="{_H - _MB + 5}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{_H - _MB + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">1e{decade}</text>'
-        )
-    for decade in range(math.ceil(math.log10(ylim[0])), math.floor(math.log10(ylim[1])) + 1):
-        y = 10.0**decade
-        py = _H - _MB - (math.log10(y) - math.log10(ylim[0])) / (
-            math.log10(ylim[1]) - math.log10(ylim[0])
-        ) * (_H - _MT - _MB)
-        out.append(
-            f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 10}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">1e{decade}</text>'
-        )
+    # Scalar log10, not _svg_coords's numpy one, which may round differently.
+    for axis, lim in (("x", xlim), ("y", ylim)):
+        lo, hi = math.log10(lim[0]), math.log10(lim[1])
+        for decade in range(math.ceil(lo), math.floor(hi) + 1):
+            frac = (math.log10(10.0**decade) - lo) / (hi - lo)
+            if axis == "x":
+                p = f"{_ML + frac * (_W - _ML - _MR):.2f}"
+                line = (p, _H - _MB, p, _H - _MB + 5)
+                label = f'x="{p}" y="{_H - _MB + 20}" text-anchor="middle"'
+            else:
+                p = _H - _MB - frac * (_H - _MT - _MB)
+                line = (_ML - 5, f"{p:.2f}", _ML, f"{p:.2f}")
+                label = f'x="{_ML - 10}" y="{p + 4:.2f}" text-anchor="end"'
+            out.append('<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="black"/>'.format(*line))
+            out.append(f'<text {label} font-family="sans-serif" font-size="12">1e{decade}</text>')
     out.append(
         f'<text x="{_W / 2:.0f}" y="{_H - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">evaluations n</text>'

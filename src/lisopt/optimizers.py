@@ -52,14 +52,12 @@ def default_checkpoints(budget: int, count: int = 30, start: int = 100) -> Array
     """Geometric grid of evaluation counts, deduplicated, ending at budget."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lo = min(start, budget)
-    grid = np.geomspace(lo, budget, num=count)
+    grid = np.geomspace(min(start, budget), budget, num=count)
+    # Only points below the budget are cast: a budget above 2**53 has no exact
+    # float, and the float of 2**63 - 1 is 2**63, which no int64 holds.
+    below = np.rint(grid[grid < budget]).astype(int).tolist()
     # Not np.unique: its first call imports numpy.ma, about 9 ms of loading a spec.
-    pts = np.array(sorted(set(np.rint(grid).astype(int).tolist())), dtype=int)
-    pts = pts[(pts >= 1) & (pts <= budget)]
-    if pts.size == 0 or pts[-1] != budget:
-        pts = np.append(pts, budget)
-    return pts
+    return np.array(sorted({p for p in below if 1 <= p < budget}) + [budget], dtype=int)
 
 
 @dataclass
@@ -352,16 +350,17 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
     ``estimator(points, values, logq, *args)`` is the method's prefix
     estimator over the run's record; it gives the estimate at each checkpoint
-    and, after each batch, the next center.  Each batch is drawn straight
-    into its rows of the record (``sample(..., out)``, the bits of a fresh
-    draw), so no point is copied.  Objective values, and sampling
-    log-densities when the estimator is ``weighted``, are cached once per
-    point and validated when the batch is evaluated.  A checkpoint that falls
-    on a batch boundary also serves as the next center.
+    and, after each batch, the next center.  Every batch, the one batch of a
+    static run (B >= budget) included, is drawn straight into its rows of the
+    record (``sample(..., out)``, the bits of a fresh draw), so no point is
+    copied.  Objective values, and sampling log-densities when the estimator
+    is ``weighted``, are cached once per point and validated when the batch
+    is evaluated.  A checkpoint that falls on a batch boundary also serves as
+    the next center.
 
-    A static run is the one-batch run (B >= budget), whose batch is itself the
-    run's record.  ``sample``, when given, is that batch's
-    ``(points, values)``, already evaluated, and is checked instead.
+    ``sample``, when given, is a static run's ``(points, values)``, already
+    evaluated; it is checked once and is itself the record, which the run
+    never writes to: only the q0 log-densities are added.
     """
     d = objective.dimension
     n = config.budget
@@ -369,9 +368,12 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     box = config.projection_box
     rng = make_rng(config.seed)
     trace = _blank_trace(_resolve_checkpoints(config.checkpoints, n), d)
-    if B < n:  # each batch is drawn into the run's record
-        prefixes = estimator(np.empty((n, d)), np.empty(n),
-                             np.empty(n) if estimator.weighted else None, *args)
+    if sample is None:
+        points, values = np.empty((n, d)), np.empty(n)
+    else:
+        points, values = _checked_sample(*sample, shape=(n, d))
+    logq = np.empty(n) if estimator.weighted else None
+    prefixes = estimator(points, values, logq, *args)
 
     mu = None
     filled = next_cp = 0
@@ -387,17 +389,9 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
             )
         lo, filled = filled, filled + b
         if sample is None:
-            batch = policy.sample(rng, b, None if B >= n else prefixes.points[lo:filled])
-            batch_values = objective.evaluate_batch(batch)
-        else:
-            batch, batch_values = _checked_sample(*sample, shape=(n, d))
-        logq = _checked_logq(policy.log_density_batch(batch), b) if estimator.weighted else None
-        if B >= n:  # the one batch is the run's record
-            prefixes = estimator(batch, batch_values, logq, *args)
-        else:
-            prefixes.values[lo:filled] = batch_values
-            if logq is not None:
-                prefixes.logq[lo:filled] = logq
+            values[lo:filled] = objective.evaluate_batch(policy.sample(rng, b, points[lo:filled]))
+        if logq is not None:
+            logq[lo:filled] = _checked_logq(policy.log_density_batch(points[lo:filled]), b)
 
         next_cp = _record(trace, prefixes, next_cp, filled, box)
         if next_cp and trace.checkpoints[next_cp - 1] == filled:

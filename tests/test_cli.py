@@ -178,6 +178,25 @@ def test_bench_trials_override(tmp_path, capsys, monkeypatch):
     assert report_trials(str(csv_path)) == 2
 
 
+@pytest.mark.parametrize("bad", ["csv", "svg"])
+def test_bench_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, bad):
+    def no_trial(spec):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("lisopt.cli.run_experiment", no_trial)
+    config = tmp_path / "exp.yaml"
+    ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=100,
+                   seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                   trials=2).to_yaml(str(config))
+    paths = {"csv": tmp_path / "r.csv", "svg": tmp_path / "r.svg"}
+    paths[bad] = tmp_path / "missing" / f"r.{bad}"
+    code, out, err = run_cli(capsys, "bench", "--config", str(config),
+                             "--csv-out", str(paths["csv"]), "--svg-out", str(paths["svg"]))
+    assert code == 2
+    assert f"cannot write {paths[bad]}" in err and out == ""
+    assert not any(p.exists() for p in paths.values())
+
+
 def report_trials(path):
     report = parse_csv(path)
     (stats,) = report.methods.values()

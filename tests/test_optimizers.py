@@ -61,6 +61,15 @@ def test_default_checkpoints_grid():
     assert default_checkpoints(50)[-1] == 50
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("budget", [2**63 - 1, 2**53 + 1])
+def test_default_checkpoints_grid_at_budgets_beyond_floats(budget):
+    cps = default_checkpoints(budget)
+    assert np.all(np.diff(cps) > 0)
+    assert cps[0] >= 1 and cps[-1] == budget
+    assert 2**53 not in cps.tolist()
+
+
 # ----------------------------------------------------------------------
 # Static drivers
 # ----------------------------------------------------------------------
@@ -163,24 +172,31 @@ def adaptive_cfg(budget, seed, d=2, lam=0.0, B=100, q0=None, **kw):
 
 
 def test_adaptive_single_batch_equals_static():
-    n = 1500
+    # A static run, the same run given its q0 draw, and the adaptive twins
+    # whose one batch is the whole budget all fill one record alike.
+    n, seed = 1500, 3
     q0 = IsotropicGaussian(mean=np.ones(2), variance=0.5)
-    static, st_trace = run_liso(
-        benchmark("sphere", 2), StaticConfig(budget=n, alpha0=1.0, q0=q0, seed=3)
-    )
-    adaptive, ad_trace = run_adaptive_liso(
-        benchmark("sphere", 2), adaptive_cfg(n, 3, B=n, lam=0.7)
-    )
-    assert np.array_equal(static, adaptive)
-    assert np.array_equal(st_trace.estimates, ad_trace.estimates)
-
-    rs, _ = run_random_search(
-        benchmark("sphere", 2), StaticConfig(budget=n, alpha0=1.0, q0=q0, seed=3)
-    )
-    ars, _ = run_adaptive_random_search(
-        benchmark("sphere", 2), adaptive_cfg(n, 3, B=n)
-    )
-    assert np.array_equal(rs, ars)
+    static_cfg = StaticConfig(budget=n, alpha0=1.0, q0=q0, seed=seed)
+    points = q0.sample(make_rng(seed), n)
+    sample = (points, benchmark("sphere", 2).evaluate_batch(points))
+    before = [a.tobytes() for a in sample]
+    for a in sample:  # a run that wrote to its given sample would raise
+        a.flags.writeable = False
+    for static, adaptive in ((run_liso, run_adaptive_liso),
+                             (run_random_search, run_adaptive_random_search)):
+        runs = [
+            static(benchmark("sphere", 2), static_cfg),
+            static(benchmark("sphere", 2), static_cfg, sample=sample),
+            adaptive(benchmark("sphere", 2), adaptive_cfg(n, seed, B=n, lam=0.7)),
+            adaptive(benchmark("sphere", 2), adaptive_cfg(n, seed, B=n + 7, lam=0.7)),
+        ]
+        est, trace = runs[0]
+        assert (trace.ess is None) == (static is run_random_search)
+        for other_est, other in runs[1:]:
+            assert np.array_equal(other_est, est)
+            assert np.array_equal(other.estimates, trace.estimates)
+            assert other.ess is None if trace.ess is None else np.array_equal(other.ess, trace.ess)
+    assert [a.tobytes() for a in sample] == before
 
 
 def test_adaptive_mixture_weight_one_reduces_to_static():
