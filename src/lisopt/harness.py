@@ -343,7 +343,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             std = np.zeros_like(mean)
         ci = 1.96 * std / math.sqrt(spec.trials)
         methods[method] = MethodStats(
-            checkpoints=spec.config.checkpoints.copy(),
+            checkpoints=spec.config.checkpoints,
             mean_mse=mean,
             std=std,
             ci_half_width=ci,

@@ -50,14 +50,25 @@ def alpha_schedule(alpha0: float, n: int, d: int) -> float:
 
 def default_checkpoints(budget: int, count: int = 30, start: int = 100) -> Array:
     """Geometric grid of evaluation counts, deduplicated, ending at budget."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    for name, value in (("budget", budget), ("count", count), ("start", start)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     grid = np.geomspace(min(start, budget), budget, num=count)
     # Only points below the budget are cast: a budget above 2**53 has no exact
     # float, and the float of 2**63 - 1 is 2**63, which no int64 holds.
     below = np.rint(grid[grid < budget]).astype(int).tolist()
-    # Not np.unique: its first call imports numpy.ma, about 9 ms of loading a spec.
-    return np.array(sorted({p for p in below if 1 <= p < budget}) + [budget], dtype=int)
+    return _resolve_checkpoints(below + [budget], budget)
+
+
+def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> Array:
+    """Sorted distinct checkpoints in [1, budget] ending at budget; None: the default grid."""
+    if checkpoints is None:
+        return default_checkpoints(budget)
+    pts = np.asarray(checkpoints, dtype=int).ravel().tolist()
+    if not pts or min(pts) < 1 or max(pts) > budget:
+        raise ValueError("checkpoints must lie in [1, budget]")
+    # Not np.unique: its first call imports numpy.ma, about 13 ms.
+    return np.array(sorted(set(pts) - {budget}) + [budget], dtype=int)
 
 
 @dataclass
@@ -77,12 +88,16 @@ def _positive_finite(x) -> bool:
 
 @dataclass
 class AdaptiveConfig:
-    """Settings of every driver.
+    """Settings of every driver, checked when the config is built.
 
     ``sigma2`` (the variance of the adapted sampler) defaults to 1/d, d being
     q0's dimension.  ``fixed_alpha``, when set, replaces the temperature
     schedule of the softmin drivers.  The static drivers use one batch of
-    ``budget`` points whatever ``batch_size`` says.
+    ``budget`` points whatever ``batch_size`` says.  ``projection_box`` is
+    (lo, hi): two NaN-free bounds of one shape, a scalar or one per dimension
+    of q0, with lo <= hi.  ``checkpoints`` is resolved here, once, into the
+    grid every trace of the config records: a read-only int array, sorted and
+    distinct in [1, budget] and ending at budget (the default grid when None).
     """
 
     budget: int
@@ -113,25 +128,17 @@ class AdaptiveConfig:
             raise ValueError("batch_size must be >= 1")
         if self.projection_box is not None:
             lo, hi = (np.asarray(a, dtype=float) for a in self.projection_box)
-            if lo.shape != hi.shape or np.any(lo > hi):
-                raise ValueError("projection box must be nonempty")
+            d = self.q0.dimension
+            if lo.shape != hi.shape or lo.shape not in ((), (1,), (d,)):
+                raise ValueError(f"projection_box bounds must share one shape: (), (1,) or ({d},)")
+            if not np.all(lo <= hi):  # false at a NaN bound too
+                raise ValueError("projection_box must be nonempty, with no NaN bound")
             self.projection_box = (lo, hi)
+        self.checkpoints = _resolve_checkpoints(self.checkpoints, self.budget)
+        self.checkpoints.flags.writeable = False
 
 
 StaticConfig = AdaptiveConfig  # the static drivers take the same settings
-
-
-def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> Array:
-    """Sorted distinct checkpoints in [1, budget], ending at budget; the
-    default grid when none are given."""
-    if checkpoints is None:
-        return default_checkpoints(budget)
-    pts = np.unique(np.asarray(checkpoints, dtype=int))
-    if pts.size == 0 or pts[0] < 1 or pts[-1] > budget:
-        raise ValueError("checkpoints must lie in [1, budget]")
-    if pts[-1] != budget:
-        pts = np.append(pts, budget)
-    return pts
 
 
 def _checked_logq(logq, n: int) -> Array:
@@ -367,7 +374,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     B = config.batch_size
     box = config.projection_box
     rng = make_rng(config.seed)
-    trace = _blank_trace(_resolve_checkpoints(config.checkpoints, n), d)
+    trace = _blank_trace(config.checkpoints, d)
     if sample is None:
         points, values = np.empty((n, d)), np.empty(n)
     else:

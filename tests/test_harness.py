@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -230,9 +232,11 @@ def test_default_worker_count_is_the_usable_cpus(monkeypatch):
 
 def test_methods_share_checkpoints(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "1")
-    report = run_experiment(small_spec())
+    spec = small_spec()
+    report = run_experiment(spec)
     cps = [s.checkpoints.tolist() for s in report.methods.values()]
     assert cps[0] == cps[1]
+    assert all(s.checkpoints is spec.config.checkpoints for s in report.methods.values())
 
 
 def test_static_methods_share_one_draw_per_trial(monkeypatch):
@@ -265,6 +269,33 @@ def test_shared_draw_matches_separate_runs():
             _, trace = driver(objective, config)
             assert objective.eval_count == spec.budget
             assert errors[method].tobytes() == trace.squared_errors.tobytes()
+
+
+_NUMPY_MA_PROBE = """
+import dataclasses, sys
+import lisopt
+if "numpy.ma" in sys.modules:
+    sys.exit("numpy.ma preloaded")
+import numpy as np
+spec = lisopt.ExperimentSpec.from_yaml(sys.argv[1])
+lisopt.run_experiment(dataclasses.replace(spec, trials=1))
+lisopt.liso_from_sample(np.eye(3), np.arange(3.0), [2, 1, 2], alpha0=1.0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_trial_and_an_explicit_grid_leave_numpy_ma_unloaded():
+    # numpy.ma costs about 13 ms to import; np.unique's first call imports it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(optimizers.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, LISOPT_WORKERS="1")
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "sphere_static_d4.yaml")
+    out = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, config], env=env,
+                         capture_output=True, text=True, timeout=120)
+    if out.stderr.strip() == "numpy.ma preloaded":
+        pytest.skip("import lisopt already loads numpy.ma here")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def _failing_driver(objective, config, sample=None):

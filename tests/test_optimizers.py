@@ -70,6 +70,26 @@ def test_default_checkpoints_grid_at_budgets_beyond_floats(budget):
     assert 2**53 not in cps.tolist()
 
 
+@pytest.mark.parametrize("count,start,name", [
+    (30, 0, "start"), (30, -5, "start"), (0, 100, "count"), (-1, 100, "count"),
+])
+def test_default_checkpoints_rejects_count_or_start_below_one(count, start, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        default_checkpoints(1000, count=count, start=start)
+
+
+def test_config_resolves_its_checkpoints_once_into_a_read_only_grid():
+    q0 = IsotropicGaussian(mean=np.zeros(2), variance=1.0)
+    cfg = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=[333, 10, 100.0, 10])
+    assert cfg.checkpoints.tolist() == [10, 100, 333, 500]
+    assert cfg.checkpoints.dtype == np.dtype(int) and not cfg.checkpoints.flags.writeable
+    default = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1).checkpoints
+    assert np.array_equal(default, default_checkpoints(500)) and not default.flags.writeable
+    for bad in ([0], [501], [], [-3, 7]):
+        with pytest.raises(ValueError, match="checkpoints must lie in"):
+            AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=bad)
+
+
 # ----------------------------------------------------------------------
 # Static drivers
 # ----------------------------------------------------------------------
@@ -231,6 +251,33 @@ def test_adaptive_projection_box_clamps_the_mean():
     est, trace = run_adaptive_liso(benchmark("sphere", 2), cfg)
     assert np.all(est >= lo) and np.all(est <= hi)
     assert np.all(trace.estimates >= lo) and np.all(trace.estimates <= hi)
+
+
+@pytest.mark.parametrize("driver,box", [
+    (run_adaptive_liso, (np.full(2, -1.0), np.full(2, 1.0))),  # d = 2 box, d = 3 q0
+    (run_adaptive_liso, (np.zeros((1, 3)), np.ones((1, 3)))),
+    (run_adaptive_liso, (-1.0, np.ones(3))),
+    (run_liso, (np.array([-1.0, np.nan, -1.0]), np.ones(3))),
+    (run_liso, (-1.0, np.nan)),
+    (run_liso, (1.0, -1.0)),
+])
+def test_config_rejects_a_bad_projection_box_before_any_evaluation(driver, box):
+    objective = benchmark("sphere", 3)
+    q0 = IsotropicGaussian(mean=np.zeros(3), variance=1.0)
+    with pytest.raises(ValueError, match="^projection_box "):
+        driver(objective, AdaptiveConfig(budget=600, alpha0=1.0, q0=q0, seed=1,
+                                         projection_box=box))
+    assert objective.eval_count == 0
+
+
+@pytest.mark.parametrize("driver", [run_liso, run_adaptive_liso])
+def test_scalar_projection_box_equals_its_per_dimension_box(driver):
+    cfg = adaptive_cfg(600, 13, B=100, projection_box=(0.2, 0.9))
+    vector = replace(cfg, projection_box=(np.full(2, 0.2), np.full(2, 0.9)))
+    _, scalar_trace = driver(benchmark("sphere", 2), cfg)
+    _, vector_trace = driver(benchmark("sphere", 2), vector)
+    assert scalar_trace.estimates.tobytes() == vector_trace.estimates.tobytes()
+    assert np.all((scalar_trace.estimates >= 0.2) & (scalar_trace.estimates <= 0.9))
 
 
 def test_adaptive_liso_beats_static_from_far_start():
@@ -400,6 +447,15 @@ def test_budget_exactness_and_determinism(name, driver, is_static):
     assert np.array_equal(est1, est2)
     assert np.array_equal(tr1.estimates, tr2.estimates)
     assert np.array_equal(tr1.checkpoints, tr2.checkpoints)
+
+
+@pytest.mark.parametrize("checkpoints", [None, [400, 7, 7, 100]])
+@pytest.mark.parametrize("name,driver,is_static", ALL_DRIVERS)
+def test_every_trace_records_its_configs_grid(name, driver, is_static, checkpoints):
+    cfg = adaptive_cfg(730, 5, checkpoints=checkpoints)
+    _, trace = driver(benchmark("sphere", 2), cfg)
+    assert trace.checkpoints.tolist() == cfg.checkpoints.tolist()
+    assert len(trace.estimates) == cfg.checkpoints.size
 
 
 @pytest.mark.parametrize("name,driver,is_static", ALL_DRIVERS)
