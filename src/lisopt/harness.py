@@ -89,7 +89,9 @@ class ExperimentSpec:
     trials, checkpoint grid, q0), then owns ``config``: the ``AdaptiveConfig``
     of every trial (seed 0), which checks the driver settings itself.  It is
     not a field, so ``asdict``, ``to_yaml`` and ``==`` skip it.  Change a
-    field with ``dataclasses.replace``, which builds ``config`` anew.
+    field with ``dataclasses.replace``, which builds ``config`` anew;
+    assigning one leaves ``config`` stale (perfbench and ``test_bench_digests``
+    assign, then write the spec to YAML and load it again).
     """
 
     objective: str
@@ -166,7 +168,6 @@ class ExperimentSpec:
                     self.budget, count=self.checkpoint_count, start=self.checkpoint_start))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.sigma2 = self.config.sigma2
         for m in self.methods:
             least = METHODS[m][1]
             if self.batch_size < least:
@@ -343,7 +344,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             std = np.zeros_like(mean)
         ci = 1.96 * std / math.sqrt(spec.trials)
         methods[method] = MethodStats(
-            checkpoints=spec.config.checkpoints,
+            checkpoints=spec.config.grid,
             mean_mse=mean,
             std=std,
             ci_half_width=ci,
@@ -481,8 +482,8 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
     """Self-contained log-log SVG plot: mean polyline + CI band per method.
 
     Deterministic: identical reports yield byte-identical output.
-    Checkpoints with nonpositive mean MSE are dropped with a warning
-    annotation.
+    Checkpoints with a nonpositive or non-finite mean MSE are dropped with a
+    warning annotation; where the CI half-width is not finite, no band is drawn.
     """
     if not report.methods:
         raise ValueError("report has no methods to plot")
@@ -494,18 +495,21 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
     dropped = []
     for method in sorted(report.methods):
         s = report.methods[method]
-        keep = s.mean_mse > 0
-        if not np.all(keep):
-            dropped.append((method, int(np.count_nonzero(~keep))))
+        nonpositive = s.mean_mse <= 0
+        non_finite = ~nonpositive & ~np.isfinite(s.mean_mse)
+        for what, bad in (("nonpositive", nonpositive), ("non-finite", non_finite)):
+            if np.any(bad):
+                dropped.append((method, f"{np.count_nonzero(bad)} {what}"))
+        keep = ~nonpositive & ~non_finite
         if np.count_nonzero(keep) == 0:
             continue
         series[method] = (
             s.checkpoints[keep].astype(float),
             s.mean_mse[keep],
-            s.ci_half_width[keep],
+            np.where(np.isfinite(s.ci_half_width), s.ci_half_width, 0.0)[keep],  # width 0: no band
         )
     if not series:
-        raise ValueError("no positive mean MSE values to plot")
+        raise ValueError("no positive finite mean MSE values to plot")
 
     floors = min(v[1].min() for v in series.values())
     all_x = np.concatenate([v[0] for v in series.values()])
@@ -522,7 +526,7 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
     for method, annotation in dropped:
-        out.append(f"<!-- warning: dropped {annotation} nonpositive points for {method} -->")
+        out.append(f"<!-- warning: dropped {annotation} points for {method} -->")
 
     # Axes frame and decade ticks.
     out.append(

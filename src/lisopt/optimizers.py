@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,14 +90,16 @@ def _positive_finite(x) -> bool:
 class AdaptiveConfig:
     """Settings of every driver, checked when the config is built.
 
-    ``sigma2`` (the variance of the adapted sampler) defaults to 1/d, d being
-    q0's dimension.  ``fixed_alpha``, when set, replaces the temperature
-    schedule of the softmin drivers.  The static drivers use one batch of
-    ``budget`` points whatever ``batch_size`` says.  ``projection_box`` is
-    (lo, hi): two NaN-free bounds of one shape, a scalar or one per dimension
-    of q0, with lo <= hi.  ``checkpoints`` is resolved here, once, into the
-    grid every trace of the config records: a read-only int array, sorted and
-    distinct in [1, budget] and ending at budget (the default grid when None).
+    Fields keep what the caller gave; change one with ``dataclasses.replace``
+    (assigning it leaves ``grid`` stale).  ``sigma2``, the adapted sampler's
+    variance, is 1/d when None, d being q0's dimension.  ``fixed_alpha``,
+    when set, replaces the softmin drivers' temperature schedule.  The
+    static drivers use one batch of ``budget`` points whatever
+    ``batch_size`` says.  ``projection_box`` is (lo, hi): two NaN-free bounds
+    of one shape, a scalar or one per dimension of q0, with lo <= hi.
+    ``grid`` resolves the ``checkpoints`` asked for (the default grid when
+    None), once: a read-only int array, sorted and distinct in [1, budget]
+    and ending at budget, that every trace of the config records.
     """
 
     budget: int
@@ -110,19 +112,20 @@ class AdaptiveConfig:
     projection_box: Optional[Tuple[Array, Array]] = None
     checkpoints: Optional[Sequence[int]] = None
     fixed_alpha: Optional[float] = None
+    grid: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if not _positive_finite(self.alpha0):
             raise ValueError("alpha0 must be positive and finite")
+        if not math.isfinite(alpha_schedule(self.alpha0, self.budget, self.q0.dimension)):
+            raise ValueError(f"alpha0 is too large: its temperature at {self.budget} evaluations is inf")
         if self.fixed_alpha is not None and not _positive_finite(self.fixed_alpha):
             raise ValueError("fixed_alpha must be positive and finite")
         if not (0.0 <= self.mixture_weight <= 1.0):
             raise ValueError("mixture_weight must lie in [0, 1]")
-        if self.sigma2 is None:
-            self.sigma2 = 1.0 / self.q0.dimension
-        elif not _positive_finite(self.sigma2):
+        if self.sigma2 is not None and not _positive_finite(self.sigma2):
             raise ValueError("sigma2 must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -133,9 +136,8 @@ class AdaptiveConfig:
                 raise ValueError(f"projection_box bounds must share one shape: (), (1,) or ({d},)")
             if not np.all(lo <= hi):  # false at a NaN bound too
                 raise ValueError("projection_box must be nonempty, with no NaN bound")
-            self.projection_box = (lo, hi)
-        self.checkpoints = _resolve_checkpoints(self.checkpoints, self.budget)
-        self.checkpoints.flags.writeable = False
+        self.grid = _resolve_checkpoints(self.checkpoints, self.budget)
+        self.grid.flags.writeable = False
 
 
 StaticConfig = AdaptiveConfig  # the static drivers take the same settings
@@ -336,6 +338,8 @@ def liso_from_sample(
     for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
         if alpha is not None and not _positive_finite(alpha):
             raise ValueError(f"{name} must be positive and finite")
+    if fixed_alpha is None and not math.isfinite(alpha_schedule(alpha0, n, points.shape[1])):
+        raise ValueError(f"alpha0 is too large: its temperature at {n} evaluations is inf")
     trace = _blank_trace(_resolve_checkpoints(checkpoints, n), points.shape[1])
     prefixes = _SoftminPrefixes(points, values, logq, alpha0, fixed_alpha)
     _record(trace, prefixes, 0, n)
@@ -373,8 +377,9 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     n = config.budget
     B = config.batch_size
     box = config.projection_box
+    sigma2 = 1.0 / config.q0.dimension if config.sigma2 is None else config.sigma2
     rng = make_rng(config.seed)
-    trace = _blank_trace(config.checkpoints, d)
+    trace = _blank_trace(config.grid, d)
     if sample is None:
         points, values = np.empty((n, d)), np.empty(n)
     else:
@@ -391,7 +396,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
         else:
             policy = MixturePolicy(
                 weight=config.mixture_weight,
-                adapted=IsotropicGaussian(mean=mu, variance=config.sigma2),
+                adapted=IsotropicGaussian(mean=mu, variance=sigma2),
                 envelope=config.q0,
             )
         lo, filled = filled, filled + b

@@ -89,12 +89,19 @@ def test_optimize_zero_dimension_is_usage_error(capsys):
     assert "--d must be >= 1" in err
 
 
-@pytest.mark.parametrize("flag", ["--alpha0", "--sigma2"])
-def test_optimize_non_finite_number_is_usage_error(capsys, flag):
-    code, out, err = run_cli(capsys, "optimize", "--d", "2", "--method", "liso",
-                             "--n", "100", flag, "inf")
+@pytest.mark.parametrize("flag,value,method,message", [
+    pytest.param("--alpha0", "inf", "liso", "alpha0 must be positive and finite", id="--alpha0"),
+    pytest.param("--sigma2", "inf", "liso", "sigma2 must be positive and finite", id="--sigma2"),
+    # A finite alpha0 whose temperature at the budget overflows.
+    pytest.param("--alpha0", "1e308", "liso", "alpha0 is too large", id="--alpha0-overflow-liso"),
+    pytest.param("--alpha0", "1e308", "adaptive_liso", "alpha0 is too large",
+                 id="--alpha0-overflow-adaptive_liso"),
+])
+def test_optimize_non_finite_number_is_usage_error(capsys, flag, value, method, message):
+    code, out, err = run_cli(capsys, "optimize", "--d", "2", "--method", method,
+                             "--n", "400", flag, value)
     assert code == 2
-    assert f"{flag[2:]} must be positive and finite" in err and not out
+    assert message in err and not out
 
 
 def pid_recording_child(pid_file):
@@ -292,7 +299,8 @@ def test_bench_non_finite_number_is_usage_error(tmp_path, capsys, key, value):
     ("alpha0", "1" + "0" * 400, "alpha0 must be finite"),
     ("q0_center", f"[0.5, {10**400}]", "q0_center entries must be finite"),
     ("budget", str(10**30), "budget must be at most 2**63 - 1"),
-], ids=["alpha0", "q0_center", "budget"])
+    ("alpha0", "1.0e+308", "alpha0 is too large: its temperature at 100 evaluations is inf"),
+], ids=["alpha0", "q0_center", "budget", "alpha0_overflow"])
 def test_bench_over_large_integer_is_usage_error(tmp_path, capsys, key, value, message):
     fields = {"objective": "sphere", "dimension": "2", "methods": "[liso]", "budget": "100",
               "seed": "1", "alpha0": "1.0", "q0_center": "[0.5, 0.5]", "q0_variance": "1.0",

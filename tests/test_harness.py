@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +161,18 @@ def test_isotropic_es_needs_a_batch_of_two():
 
 
 def test_sigma2_defaults_to_inverse_dimension():
-    assert small_spec(dimension=2, q0_center=[0.0, 0.0]).sigma2 == 0.5
+    # The spec and its config keep None; the driver reads 1/d of the spec's q0,
+    # also after the dimension is replaced.
+    spec = small_spec(methods=["adaptive_liso"], batch_size=100, trials=1)
+    assert spec.sigma2 is None and spec.config.sigma2 is None
+
+    def errors(spec, **sigma2):
+        return _run_trial(replace(spec, **sigma2), 0)["adaptive_liso"].tobytes()
+
+    assert errors(spec) == errors(spec, sigma2=0.5)
+    spec = replace(spec, dimension=8, q0_center=[0.0] * 8)
+    assert errors(spec) == errors(spec, sigma2=0.125)
+    assert errors(spec) != errors(spec, sigma2=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +248,7 @@ def test_methods_share_checkpoints(monkeypatch):
     report = run_experiment(spec)
     cps = [s.checkpoints.tolist() for s in report.methods.values()]
     assert cps[0] == cps[1]
-    assert all(s.checkpoints is spec.config.checkpoints for s in report.methods.values())
+    assert all(s.checkpoints is spec.config.grid for s in report.methods.values())
 
 
 def test_static_methods_share_one_draw_per_trial(monkeypatch):
@@ -498,6 +510,29 @@ def test_svg_drops_nonpositive_points_with_warning():
     report.methods["m"].mean_mse[0] = 0.0
     svg = svg_string(report)
     assert "warning: dropped 1 nonpositive points for m" in svg
+    # A non-finite mean is dropped and counted too.  A non-finite CI
+    # half-width keeps its mean, with no band there: the band's upper and
+    # lower edges meet the mean line.
+    stats = report.methods["m"]
+    stats.mean_mse[[1, 2]] = np.inf, np.nan
+    stats.ci_half_width[[-2, -1]] = np.inf, np.nan
+    svg = svg_string(report)
+    assert "warning: dropped 1 nonpositive points for m" in svg
+    assert "warning: dropped 2 non-finite points for m" in svg
+
+    def points(tag):
+        text = re.search(f'<{tag} points="([^"]*)"', svg).group(1)
+        return [tuple(map(float, p.split(","))) for p in text.split()]
+
+    line, band = points("polyline"), points("polygon")
+    kept = stats.checkpoints.size - 3
+    assert len(line) == kept and len(band) == 2 * kept
+    upper, lower = band[:kept], band[kept:][::-1]
+    assert upper[-2:] == lower[-2:] == line[-2:]
+    assert all(u[1] < m[1] for u, m in zip(upper[:-2], line[:-2]))
+    stats.mean_mse[:] = np.inf
+    with pytest.raises(ValueError, match="no positive finite mean MSE values to plot"):
+        svg_string(report)
 
 
 def test_svg_title_defaults_and_is_taken_from_the_argument():

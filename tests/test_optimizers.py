@@ -80,14 +80,25 @@ def test_default_checkpoints_rejects_count_or_start_below_one(count, start, name
 
 def test_config_resolves_its_checkpoints_once_into_a_read_only_grid():
     q0 = IsotropicGaussian(mean=np.zeros(2), variance=1.0)
-    cfg = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=[333, 10, 100.0, 10])
-    assert cfg.checkpoints.tolist() == [10, 100, 333, 500]
-    assert cfg.checkpoints.dtype == np.dtype(int) and not cfg.checkpoints.flags.writeable
-    default = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1).checkpoints
-    assert np.array_equal(default, default_checkpoints(500)) and not default.flags.writeable
+    asked = [333, 10, 100.0, 10]
+    cfg = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=asked)
+    assert cfg.checkpoints is asked  # the request is kept, the grid is derived
+    assert cfg.grid.tolist() == [10, 100, 333, 500]
+    assert cfg.grid.dtype == np.dtype(int) and not cfg.grid.flags.writeable
+    default = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1)
+    assert default.checkpoints is None
+    assert np.array_equal(default.grid, default_checkpoints(500)) and not default.grid.flags.writeable
     for bad in ([0], [501], [], [-3, 7]):
         with pytest.raises(ValueError, match="checkpoints must lie in"):
             AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=bad)
+    # replace() resolves the grid anew, and configs compare by value.
+    base = AdaptiveConfig(budget=1000, alpha0=1.0, q0=q0, seed=1)
+    for budget in (500, 5000):
+        fresh = AdaptiveConfig(budget=budget, alpha0=1.0, q0=q0, seed=1)
+        assert np.array_equal(replace(base, budget=budget).grid, fresh.grid)
+        assert replace(base, budget=budget) == fresh
+    assert cfg == replace(cfg) and base == replace(base)
+    assert base != replace(base, checkpoints=[10, 1000])
 
 
 # ----------------------------------------------------------------------
@@ -391,9 +402,24 @@ def test_es_runs_and_respects_budget():
 def test_one_config_serves_every_driver():
     assert StaticConfig is AdaptiveConfig
     q0 = IsotropicGaussian(mean=np.ones(4), variance=0.5)
-    assert AdaptiveConfig(budget=10, alpha0=1.0, q0=q0, seed=0).sigma2 == 0.25
     with pytest.raises(ValueError, match="fixed_alpha"):
         AdaptiveConfig(budget=10, alpha0=1.0, q0=q0, seed=0, fixed_alpha=0.0)
+    # An alpha0 whose temperature at the budget overflows is refused; a
+    # fixed temperature is never scheduled.
+    with pytest.raises(ValueError, match="^alpha0 is too large: its temperature at 400 evaluations is inf$"):
+        AdaptiveConfig(budget=400, alpha0=1e308, q0=q0, seed=0)
+    AdaptiveConfig(budget=400, alpha0=1.0, q0=q0, seed=0, fixed_alpha=1e308)
+    # sigma2 stays None and is read as 1/d of q0, also of a q0 put in by replace().
+    cfg = AdaptiveConfig(budget=600, alpha0=1.0, q0=q0, seed=2, batch_size=100)
+    assert cfg.sigma2 is None
+
+    def trace(config):
+        return run_adaptive_liso(benchmark("sphere", config.q0.dimension), config)[1].estimates.tobytes()
+
+    assert trace(cfg) == trace(replace(cfg, sigma2=0.25))
+    cfg = replace(cfg, q0=IsotropicGaussian(mean=np.ones(8), variance=0.5))
+    assert trace(cfg) == trace(replace(cfg, sigma2=0.125))
+    assert trace(cfg) != trace(replace(cfg, sigma2=0.25))
 
 
 @pytest.mark.parametrize("field", ["alpha0", "fixed_alpha", "sigma2"])
@@ -454,8 +480,8 @@ def test_budget_exactness_and_determinism(name, driver, is_static):
 def test_every_trace_records_its_configs_grid(name, driver, is_static, checkpoints):
     cfg = adaptive_cfg(730, 5, checkpoints=checkpoints)
     _, trace = driver(benchmark("sphere", 2), cfg)
-    assert trace.checkpoints.tolist() == cfg.checkpoints.tolist()
-    assert len(trace.estimates) == cfg.checkpoints.size
+    assert trace.checkpoints.tolist() == cfg.grid.tolist()
+    assert len(trace.estimates) == cfg.grid.size
 
 
 @pytest.mark.parametrize("name,driver,is_static", ALL_DRIVERS)
@@ -512,6 +538,9 @@ def test_liso_from_sample_defaults_and_fixed_alpha():
     fixed = liso_from_sample(points, values, logq=np.full(500, -2.0), alpha0=9.0, fixed_alpha=3.0)
     uniform = liso_from_sample(points, values, fixed_alpha=3.0)
     assert np.allclose(fixed.estimates, uniform.estimates, rtol=0, atol=1e-12)
+    # Only the schedule is checked for overflow: a fixed temperature of 1e308 is allowed.
+    sharp = liso_from_sample(np.eye(3), [1.0, 0.0, 0.5], alpha0=1e308, fixed_alpha=1e308)
+    assert sharp.estimates.tolist() == [[0.0, 1.0, 0.0]]
 
 
 def test_liso_from_sample_all_inf_falls_back_to_the_first_point():
@@ -531,6 +560,7 @@ def test_liso_from_sample_all_inf_falls_back_to_the_first_point():
     (dict(alpha0=None), "give alpha0 or fixed_alpha"),
     (dict(fixed_alpha=np.inf), "fixed_alpha must be positive and finite"),
     (dict(checkpoints=[6]), "checkpoints must lie in"),
+    (dict(alpha0=1e308), "alpha0 is too large: its temperature at 5 evaluations is inf"),
 ])
 def test_liso_from_sample_checks_its_inputs(change, message):
     kw = dict(points=np.zeros((5, 2)), values=np.arange(5.0), checkpoints=None,
