@@ -81,6 +81,10 @@ class IsotropicGaussian:
         if not (self.variance > 0) or not math.isfinite(self.variance):
             raise ValueError("variance must be positive and finite")
 
+    def __eq__(self, other) -> bool:  # by value: the generated one asks an array for a bool
+        return (isinstance(other, IsotropicGaussian) and self.variance == other.variance
+                and np.array_equal(self.mean, other.mean))
+
     @property
     def dimension(self) -> int:
         return self.mean.size

@@ -16,7 +16,9 @@ for ``budget`` evaluations, and the trial's one objective checks the count.
 
 Trials may execute in parallel; the worker count comes from the
 ``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
-process may run on), capped at the trial count.  Aggregation folds results in
+process may run on), capped at the trial count.  One worker runs the trials in
+the caller's process, which then never imports the process pool; likewise
+yaml is only imported to read or write a spec file.  Aggregation folds results in
 trial order, so completion order never matters.  The first failing trial
 aborts the experiment and cancels the trials not yet started; a failure
 outside any trial, such as a killed worker process, is the pool's own error.
@@ -31,12 +33,11 @@ import ctypes
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import yaml
 
 from .distributions import IsotropicGaussian, derive_seed
 from .objectives import Objective, benchmark, benchmark_names, format_float
@@ -176,6 +177,7 @@ class ExperimentSpec:
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentSpec":
         """Load a flat YAML mapping; unknown keys are errors, not warnings."""
+        import yaml  # here, not at the top: only spec files need yaml's ~14 ms import
         with open(path, "r") as fh:
             try:
                 raw = yaml.safe_load(fh)
@@ -193,6 +195,7 @@ class ExperimentSpec:
             raise ConfigError(f"{path}: {exc}") from exc
 
     def to_yaml(self, path: str) -> None:
+        import yaml  # here, not at the top: only spec files need yaml's ~14 ms import
         data = asdict(self)
         data = {k: v for k, v in data.items() if v is not None}
         with open(path, "w") as fh:
@@ -330,6 +333,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     if workers == 1:
         results = [_run_trial(spec, t) for t in trials]
     else:
+        # Here, not at the top: a one-worker run never loads multiprocessing (~19 ms).
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap_resident) as pool:
             results = list(pool.map(_run_trial, [spec] * spec.trials, trials))
 
@@ -468,6 +473,7 @@ _PALETTE = (
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+_FLOAT_MAX, _FLOAT_TINY = sys.float_info.max, math.ulp(0.0)
 
 
 def _svg_coords(xs: Array, ys: Array, xlim, ylim) -> str:
@@ -483,7 +489,8 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
 
     Deterministic: identical reports yield byte-identical output.
     Checkpoints with a nonpositive or non-finite mean MSE are dropped with a
-    warning annotation; where the CI half-width is not finite, no band is drawn.
+    warning annotation; where the CI half-width is not finite, or the band's
+    upper edge would overflow, no band is drawn.
     """
     if not report.methods:
         raise ValueError("report has no methods to plot")
@@ -506,17 +513,23 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         series[method] = (
             s.checkpoints[keep].astype(float),
             s.mean_mse[keep],
-            np.where(np.isfinite(s.ci_half_width), s.ci_half_width, 0.0)[keep],  # width 0: no band
+            # Width 0, no band, where the half-width is not finite or mean + half-width overflows.
+            np.where(np.isfinite(s.ci_half_width) & (s.ci_half_width <= _FLOAT_MAX - s.mean_mse),
+                     s.ci_half_width, 0.0)[keep],
         )
     if not series:
         raise ValueError("no positive finite mean MSE values to plot")
 
-    floors = min(v[1].min() for v in series.values())
+    # Python floats over- and underflow silently; a limit is clamped only where it
+    # would leave the finite positive range, so an ordinary report plots as before.
+    floor = max(float(min(v[1].min() for v in series.values())) * 0.5, _FLOAT_TINY)
     all_x = np.concatenate([v[0] for v in series.values()])
     uppers = np.concatenate([v[1] + v[2] for v in series.values()])
-    lowers = np.concatenate([np.maximum(v[1] - v[2], floors * 0.5) for v in series.values()])
+    lowers = np.concatenate([np.maximum(v[1] - v[2], floor) for v in series.values()])
     xlim = (all_x.min(), max(all_x.max(), all_x.min() * 1.0001))
-    ylim = (lowers.min() * 0.8, uppers.max() * 1.25)
+    y_lo = max(float(lowers.min()) * 0.8, _FLOAT_TINY)
+    y_hi = min(float(uppers.max()) * 1.25, _FLOAT_MAX)
+    ylim = (y_lo, max(y_hi, math.nextafter(y_lo, math.inf)))  # distinct among subnormals too
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -557,7 +570,7 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
     for idx, (method, (xs, mean, ci)) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         upper = mean + ci
-        lower = np.maximum(mean - ci, floors * 0.5)
+        lower = np.maximum(mean - ci, floor)
         band = _svg_coords(
             np.concatenate([xs, xs[::-1]]),
             np.concatenate([upper, lower[::-1]]),

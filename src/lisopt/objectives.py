@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import math
 import os
-import select
-import shlex
-import subprocess
 import threading
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .estimators import _row_sum
+
+if TYPE_CHECKING:  # the annotation of _exits_within
+    import subprocess
 
 Array = np.ndarray
 
@@ -203,6 +203,10 @@ class ExternalObjective(Objective):
     """
 
     def __init__(self, command: Union[str, Sequence[str]], dimension: int):
+        # Here, not at the top: only the owner of a child pays their ~5 ms import.
+        import shlex
+        import subprocess
+
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
             self._proc = subprocess.Popen(
@@ -297,6 +301,9 @@ def _exits_within(proc: subprocess.Popen, seconds: float) -> bool:
     The wait blocks on a pidfd, which wakes as soon as the child exits, where
     ``Popen.wait(timeout)`` polls with sleeps; without pidfds it is that.
     """
+    import select  # here, not at the top, as in ExternalObjective.__init__
+    import subprocess
+
     try:
         fd = os.pidfd_open(proc.pid)
     except (AttributeError, OSError):

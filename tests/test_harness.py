@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import ctypes
 import math
@@ -211,12 +212,13 @@ def test_pool_is_capped_at_the_trial_count(monkeypatch):
     expected = csv_string(run_experiment(small_spec(trials=2)))
     sizes = []
 
-    class RecordingPool(harness.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_experiment imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("LISOPT_WORKERS", "4")
     assert csv_string(run_experiment(small_spec(trials=2))) == expected
     assert sizes == [2]
@@ -491,12 +493,29 @@ def test_parse_csv_rejects_bad_header(tmp_path):
 # SVG
 # ----------------------------------------------------------------------
 
+def _one_method_report(means, half_widths):
+    means = np.array(means)
+    return ExperimentReport(methods={"only": MethodStats(
+        checkpoints=np.array([100, 200, 400, 800]), mean_mse=means, std=np.zeros_like(means),
+        ci_half_width=np.array(half_widths), trials=10)})
+
+
 def test_svg_structure_single_method():
-    svg = svg_string(synthetic_report(methods=("only",)))
-    assert svg.count("<polyline") == 1
-    assert svg.count("<polygon") == 1
-    assert "only" in svg
-    assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+    for report in (
+        synthetic_report(methods=("only",)),
+        # Near the float maximum, 1.25 x the top would overflow the upper y-limit.
+        _one_method_report([1.5e308, 1e308, 1e307, 1e306], [0.0, 0.0, 0.0, 0.0]),
+        # Subnormal means, whose band floor would underflow to a lower y-limit of 0.
+        _one_method_report([5e-324, 1e-300, 1e-310, 1e-320], [1e-300, 0.0, 0.0, 0.0]),
+        # All at the smallest subnormal, where 0.8 x and 1.25 x round to the same limit.
+        _one_method_report([5e-324] * 4, [0.0] * 4),
+    ):
+        svg = svg_string(report)
+        assert svg.count("<polyline") == 1
+        assert svg.count("<polygon") == 1
+        assert "only" in svg
+        assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+        assert not re.search(r"inf|nan", svg)
 
 
 def test_svg_byte_determinism():
@@ -533,6 +552,12 @@ def test_svg_drops_nonpositive_points_with_warning():
     stats.mean_mse[:] = np.inf
     with pytest.raises(ValueError, match="no positive finite mean MSE values to plot"):
         svg_string(report)
+    # Where mean + half-width overflows, no band is drawn there either.
+    svg = svg_string(_one_method_report([1e308, 1e308, 1.0, 1.0], [1e308, 1e307, 0.5, 0.5]))
+    line, band = points("polyline"), points("polygon")
+    upper, lower = band[:4], band[4:][::-1]
+    assert upper[0] == lower[0] == line[0]
+    assert upper[1][1] < line[1][1]
 
 
 def test_svg_title_defaults_and_is_taken_from_the_argument():

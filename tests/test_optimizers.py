@@ -99,6 +99,14 @@ def test_config_resolves_its_checkpoints_once_into_a_read_only_grid():
         assert replace(base, budget=budget) == fresh
     assert cfg == replace(cfg) and base == replace(base)
     assert base != replace(base, checkpoints=[10, 1000])
+    # Gaussians compare by value too: a separately built twin of q0, and a config on it.
+    twin = IsotropicGaussian(mean=np.zeros(2), variance=1.0)
+    assert twin == q0 and twin is not q0
+    assert AdaptiveConfig(budget=1000, alpha0=1.0, q0=twin, seed=1) == base
+    assert twin != IsotropicGaussian(mean=np.ones(2), variance=1.0)
+    assert twin != IsotropicGaussian(mean=np.zeros(2), variance=2.0)
+    assert twin != IsotropicGaussian(mean=np.zeros(3), variance=1.0) and twin != "q0"
+    assert base != replace(base, q0=IsotropicGaussian(mean=np.ones(2), variance=1.0))
 
 
 # ----------------------------------------------------------------------
