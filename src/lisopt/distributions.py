@@ -17,8 +17,11 @@ draws into a caller's C-contiguous (count, d) float buffer instead of a new
 array: ``standard_normal(out=buf)`` gives the bits of
 ``standard_normal((count, d))`` and advances the generator alike, so a sample
 and the stream after it do not depend on whether ``out`` is given.
-Log-densities likewise square and sum in place, with the fixed-order row sum
-of :mod:`lisopt.estimators`.
+Log-densities square and sum one column at a time (``_sq_dev_sum`` of
+:mod:`lisopt.estimators`, the bits of numpy's row sum), with no (m, d)
+temporary below eight dimensions; ``log_density_batch(points, out=buf)``
+writes them into a caller's (m,) float buffer and returns it, with the bits of
+the call without ``out``.
 
 Policies are immutable after construction and safe to share between workers;
 generators are never shared.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _row_sum
+from .estimators import _sq_dev_sum
 
 Array = np.ndarray
 
@@ -92,14 +95,12 @@ class IsotropicGaussian:
     def log_density(self, x) -> float:
         return float(self.log_density_batch(np.asarray(x, dtype=float)[None, :])[0])
 
-    def log_density_batch(self, points: Array) -> Array:
+    def log_density_batch(self, points: Array, out=None) -> Array:
         d = self.dimension
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != d:
             raise ValueError(f"expected an (m, {d}) array of points, got shape {points.shape}")
-        y = points - self.mean
-        y *= y
-        sq = _row_sum(y)
+        sq = _sq_dev_sum(points, self.mean, out)
         sq /= 2.0 * self.variance
         return np.subtract(-0.5 * d * np.log(2.0 * np.pi * self.variance), sq, out=sq)
 
@@ -138,16 +139,16 @@ class MixturePolicy:
     def log_density(self, x) -> float:
         return float(self.log_density_batch(np.asarray(x, dtype=float)[None, :])[0])
 
-    def log_density_batch(self, points: Array) -> Array:
+    def log_density_batch(self, points: Array, out=None) -> Array:
         # Degenerate weights return the component bit-exactly.
         if self.weight == 0.0:
-            return self.adapted.log_density_batch(points)
+            return self.adapted.log_density_batch(points, out)
         if self.weight == 1.0:
-            return self.envelope.log_density_batch(points)
+            return self.envelope.log_density_batch(points, out)
         a = self.adapted.log_density_batch(points) + math.log1p(-self.weight)
         b = self.envelope.log_density_batch(points) + math.log(self.weight)
         m = np.maximum(a, b)
-        return m + np.log(np.exp(a - m) + np.exp(b - m))
+        return np.add(m, np.log(np.exp(a - m) + np.exp(b - m)), out=out)
 
     def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
         if count < 1:

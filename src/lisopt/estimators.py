@@ -8,12 +8,16 @@ long before the interesting regime.
 Each formula is implemented once, as an in-place step on a caller-owned
 buffer: ``_log_weights_into``, ``_normalize_into``, ``_weighted_sum`` and
 ``_kish_ess``.  ``_row_sum`` is the fixed-order row sum that the objectives
-and the sampling densities use on their (n, d) arrays.  The public functions
-validate their inputs and run these steps on fresh arrays.  The softmin
-drivers validate values and log-densities once, when each batch is evaluated,
-not on every re-weighting; they anchor each prefix at a running minimum of
-its values, keep the shifted values ``values - ref`` from one re-weighting to
-the next, and run the steps on one work buffer per run.
+use on their (n, d) arrays, with numpy's bits.  ``_sq_dev_sum`` is its sum of
+squared deviations, sum_j (x_ij - c_j)^2, with the same bits: below eight
+columns it squares and adds one column at a time into an (n,) result, so the
+sphere, the rms term of Ackley and the Gaussian log-density make no (n, d)
+temporary.  The public functions validate their inputs and run these steps
+on fresh arrays.  The softmin drivers validate values and log-densities once,
+when each batch is evaluated, not on every re-weighting; they anchor each
+prefix at a running minimum of its values, keep the shifted values
+``values - ref`` from one re-weighting to the next, and run the steps on one
+work buffer per run.
 
 ``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
 product in lisopt goes through it, so output bits do not depend on the
@@ -25,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
+from typing import Optional
 
 import numpy as np
 
@@ -127,6 +132,11 @@ def _weighted_sum(p: Array, points: Array) -> Array:
     return _one_blas_thread(_blocked_sum, p, points)
 
 
+# Row length from which numpy sums a row pairwise, with eight accumulators;
+# shorter rows it sums left to right.
+_PAIRWISE_ROW = 8
+
+
 def _row_sum(a: Array) -> Array:
     """np.sum(a, axis=1) for a 2-d float array, with the same bits, faster at small d.
 
@@ -139,7 +149,7 @@ def _row_sum(a: Array) -> Array:
     called as it is.
     """
     d = a.shape[1]
-    if d >= 8:
+    if d >= _PAIRWISE_ROW:
         return np.sum(a, axis=1)
     out = a[:, 0] + 0.0
     for j in range(1, d):
@@ -147,9 +157,43 @@ def _row_sum(a: Array) -> Array:
     return out
 
 
+def _sq_dev_sum(x: Array, c: Optional[Array] = None, out: Optional[Array] = None) -> Array:
+    """sum_j (x_ij - c_j)^2 for each row of a 2-d float array (c = 0 when
+    None), into ``out`` when given; the bits of ``_row_sum((x - c) ** 2)``.
+
+    Below eight columns each column is squared into one (m,) scratch vector
+    and added to the result in order, so every element sees the same
+    subtraction, product and additions as in ``_row_sum``; a square is never
+    -0.0, so no +0.0 start is needed.  From eight on numpy's pairwise row sum
+    needs whole rows, so the (m, d) squares are formed, as ``_row_sum`` does.
+    """
+    d = x.shape[1]
+    if d >= _PAIRWISE_ROW:
+        if c is None:
+            y = x * x
+        else:
+            y = x - c
+            y *= y
+        return np.sum(y, axis=1, out=out)
+
+    def square(j, into):
+        if c is None:
+            return np.multiply(x[:, j], x[:, j], out=into)
+        into = np.subtract(x[:, j], c[j], out=into)
+        return np.multiply(into, into, out=into)
+
+    out = square(0, out)
+    scratch = np.empty_like(out) if d > 1 else None
+    for j in range(1, d):
+        out += square(j, scratch)
+    return out
+
+
 def _kish_ess(p: Array) -> float:
-    """1 / sum(p_i^2) for normalized weights p."""
-    return float(1.0 / (p * p).sum())
+    """1 / sum(p_i^2) for normalized weights p, squared in place in ``p``:
+    the caller has taken what it needs of the weights already."""
+    p *= p
+    return float(1.0 / p.sum())
 
 
 def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array) -> Array:

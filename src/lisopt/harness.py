@@ -89,10 +89,10 @@ class ExperimentSpec:
     It checks field types and what only a spec has (objective, methods,
     trials, checkpoint grid, q0), then owns ``config``: the ``AdaptiveConfig``
     of every trial (seed 0), which checks the driver settings itself.  It is
-    not a field, so ``asdict``, ``to_yaml`` and ``==`` skip it.  Change a
-    field with ``dataclasses.replace``, which builds ``config`` anew;
-    assigning one leaves ``config`` stale (perfbench and ``test_bench_digests``
-    assign, then write the spec to YAML and load it again).
+    not a field, so ``asdict``, ``to_yaml`` and ``==`` skip it.  Assigning a
+    field checks the spec again and builds ``config`` anew, as
+    ``dataclasses.replace`` does; an invalid value raises a ConfigError naming
+    the field and leaves the spec as it was.
     """
 
     objective: str
@@ -173,6 +173,16 @@ class ExperimentSpec:
             least = METHODS[m][1]
             if self.batch_size < least:
                 raise ConfigError(f"{m} requires batch_size >= {least}")
+
+    def __setattr__(self, name, value):
+        if name not in self.__dataclass_fields__ or "config" not in self.__dict__:
+            object.__setattr__(self, name, value)  # __post_init__ at work, or not a field
+            return
+        try:
+            checked = replace(self, **{name: value})
+        except ConfigError as exc:
+            raise ConfigError(f"cannot set {name} to {value!r}: {exc}") from None
+        self.__dict__.update(checked.__dict__)
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentSpec":

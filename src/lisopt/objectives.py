@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .estimators import _row_sum
+from .estimators import _row_sum, _sq_dev_sum
 
 if TYPE_CHECKING:  # the annotation of _exits_within
     import subprocess
@@ -125,7 +125,7 @@ def ackley(x) -> float:
 
 
 def _sphere_batch(points: Array) -> Array:
-    return _row_sum(points * points)
+    return _sq_dev_sum(points)
 
 
 def _rastrigin_batch(points: Array) -> Array:
@@ -135,7 +135,7 @@ def _rastrigin_batch(points: Array) -> Array:
 
 def _ackley_batch(points: Array) -> Array:
     d = points.shape[1]
-    rms = np.sqrt(_row_sum(points * points) / d)
+    rms = np.sqrt(_sq_dev_sum(points) / d)
     cos_mean = _row_sum(np.cos(2.0 * np.pi * points)) / d
     return -20.0 * np.exp(-0.2 * rms) - np.exp(cos_mean) + 20.0 + math.e
 

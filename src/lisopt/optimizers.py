@@ -99,7 +99,8 @@ class AdaptiveConfig:
     of one shape, a scalar or one per dimension of q0, with lo <= hi.
     ``grid`` resolves the ``checkpoints`` asked for (the default grid when
     None), once: a read-only int array, sorted and distinct in [1, budget]
-    and ending at budget, that every trace of the config records.
+    and ending at budget, that every trace of the config records.  Two
+    configs compare by value, their array fields element by element.
     """
 
     budget: int
@@ -138,6 +139,24 @@ class AdaptiveConfig:
                 raise ValueError("projection_box must be nonempty, with no NaN bound")
         self.grid = _resolve_checkpoints(self.checkpoints, self.budget)
         self.grid.flags.writeable = False
+
+    def __eq__(self, other) -> bool:  # by value: the generated one asks an array for a bool
+        if not isinstance(other, AdaptiveConfig):
+            return NotImplemented
+        return _compared_values(self) == _compared_values(other)
+
+
+def _compared_values(config: AdaptiveConfig) -> tuple:
+    """The compared fields of a config, its array fields as lists of their values."""
+    def plain(name, value):
+        if value is None:
+            return None
+        if name == "checkpoints":
+            return np.asarray(value).tolist()
+        if name == "projection_box":
+            return [np.asarray(bound).tolist() for bound in value]
+        return value
+    return tuple(plain(f.name, getattr(config, f.name)) for f in dataclasses.fields(config) if f.compare)
 
 
 StaticConfig = AdaptiveConfig  # the static drivers take the same settings
@@ -366,8 +385,9 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     record (``sample(..., out)``, the bits of a fresh draw), so no point is
     copied.  Objective values, and sampling log-densities when the estimator
     is ``weighted``, are cached once per point and validated when the batch
-    is evaluated.  A checkpoint that falls on a batch boundary also serves as
-    the next center.
+    is evaluated; the log-densities are written into the record too
+    (``log_density_batch(..., out)``) and checked there.  A checkpoint that
+    falls on a batch boundary also serves as the next center.
 
     ``sample``, when given, is a static run's ``(points, values)``, already
     evaluated; it is checked once and is itself the record, which the run
@@ -403,7 +423,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
         if sample is None:
             values[lo:filled] = objective.evaluate_batch(policy.sample(rng, b, points[lo:filled]))
         if logq is not None:
-            logq[lo:filled] = _checked_logq(policy.log_density_batch(points[lo:filled]), b)
+            _checked_logq(policy.log_density_batch(points[lo:filled], out=logq[lo:filled]), b)
 
         next_cp = _record(trace, prefixes, next_cp, filled, box)
         if next_cp and trace.checkpoints[next_cp - 1] == filled:

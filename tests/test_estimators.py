@@ -22,7 +22,7 @@ from lisopt import (
     self_normalized_average,
 )
 from lisopt import estimators
-from lisopt.estimators import _openblas_thread_calls, _row_sum
+from lisopt.estimators import _openblas_thread_calls, _row_sum, _sq_dev_sum
 
 
 def test_log_weights_all_terms_vanish():
@@ -272,6 +272,47 @@ def test_row_sum_matches_numpy_bit_for_bit(n):
             assert _same_bits(_row_sum(view), np.sum(view, axis=1)), (d, layout)
         normal = rng.standard_normal((n, d))
         assert _same_bits(_row_sum(normal), np.sum(normal, axis=1)), d
+
+
+@pytest.mark.parametrize("n", [1, 300, 100_000])
+def test_sq_dev_sum_matches_numpy_bit_for_bit(n):
+    # The sum of squared deviations, with and without a centre and an ``out``,
+    # has the bits of the (n, d) formula on every layout.
+    rng = np.random.default_rng(n + 1)
+    for d in range(1, 21):
+        a = _extreme_rows(n, d, rng)
+        centre = _extreme_rows(1, d, rng)[0]
+        centre[~np.isfinite(centre)] = 1.5
+        layouts = {
+            "C": a,
+            "F": np.asfortranarray(a),
+            "strided columns": np.repeat(a, 2, axis=1)[:, ::2],
+            "strided rows": np.repeat(a, 2, axis=0)[::2],
+            "normal": rng.standard_normal((n, d)),
+        }
+        for layout, x in layouts.items():
+            for c in (None, centre):
+                with np.errstate(over="ignore"):  # squares of 1e300
+                    expected = np.sum((x if c is None else x - c) ** 2, axis=1)
+                    assert _same_bits(_sq_dev_sum(x, c), expected), (d, layout, c)
+                    buf = np.full(n, np.nan)
+                    assert _sq_dev_sum(x, c, out=buf) is buf, (d, layout)
+                assert _same_bits(buf, expected), (d, layout, c)
+
+
+@pytest.mark.parametrize("d", [1, 4, 8, 12])
+def test_log_density_batch_writes_into_out(d):
+    adapted = IsotropicGaussian(mean=np.full(d, 0.25), variance=0.1)
+    envelope = IsotropicGaussian(mean=np.linspace(-1.0, 1.0, d), variance=2.0)
+    points = make_rng(13).standard_normal((3000, d)) * 2.0
+    policies = [adapted] + [MixturePolicy(weight=w, adapted=adapted, envelope=envelope)
+                            for w in (0.0, 0.3, 1.0)]
+    for policy in policies:
+        record = np.full(3100, np.nan)
+        buf = record[100:]
+        assert policy.log_density_batch(points, out=buf) is buf
+        assert _same_bits(buf, policy.log_density_batch(points)), policy
+        assert np.isnan(record[:100]).all()
 
 
 def _old_isotropic_log_density(g, points):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,35 @@ def test_spec_duplicate_method_is_rejected():
         small_spec(methods=["liso", "random_search", "liso"])
 
 
+def test_assigning_a_field_rebuilds_the_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    spec, replaced = small_spec(), replace(small_spec(), alpha0=50.0)
+    spec.alpha0 = 50
+    assert spec.alpha0 == 50.0 and isinstance(spec.alpha0, float) and spec.config.alpha0 == 50.0
+    assert spec == replaced and spec.config == replaced.config
+    emit_csv(run_experiment(spec), str(tmp_path / "assigned.csv"))
+    emit_csv(run_experiment(replaced), str(tmp_path / "replaced.csv"))
+    assert (tmp_path / "assigned.csv").read_bytes() == (tmp_path / "replaced.csv").read_bytes()
+    spec.budget = 800  # the checkpoint grid follows the budget
+    assert spec.config.budget == 800 and spec.config.grid[-1] == 800
+    assert run_experiment(spec).methods["liso"].checkpoints[-1] == 800
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha0", math.inf),
+    ("budget", 0),
+    ("dimension", 3),
+    ("methods", ["liso", "liso"]),
+    ("seed", 1.5),
+])
+def test_an_invalid_assignment_names_the_field_and_changes_nothing(field, value):
+    spec = small_spec()
+    before = copy.deepcopy(spec)
+    with pytest.raises(ConfigError, match=f"^cannot set {field} to "):
+        setattr(spec, field, value)
+    assert spec == before and spec.config == before.config
+
+
 def test_isotropic_es_needs_a_batch_of_two():
     with pytest.raises(ConfigError, match="isotropic_es requires batch_size >= 2"):
         small_spec(methods=["liso", "isotropic_es"], batch_size=1)
@@ -283,6 +313,27 @@ def test_shared_draw_matches_separate_runs():
             _, trace = driver(objective, config)
             assert objective.eval_count == spec.budget
             assert errors[method].tobytes() == trace.squared_errors.tobytes()
+
+
+def test_a_static_trial_allocates_its_record_and_no_n_by_d_temporary():
+    # A sphere_static_d4 trial (1e5 points, d = 4) keeps a 6.4 MB record: the
+    # points, their values and log-densities, and two re-weighting buffers.
+    # One more (n, d) float array would add 3.2 MB; an (n,) vector adds 0.8 MB.
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "sphere_static_d4.yaml")
+    spec = ExperimentSpec.from_yaml(config)
+    assert (spec.budget, spec.dimension) == (100_000, 4)
+    _run_trial(spec, 0)  # caches filled on first use are not the trial's
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _run_trial(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 _NUMPY_MA_PROBE = """

@@ -109,6 +109,24 @@ def test_config_resolves_its_checkpoints_once_into_a_read_only_grid():
     assert base != replace(base, q0=IsotropicGaussian(mean=np.ones(2), variance=1.0))
 
 
+def test_configs_with_array_fields_compare_by_value():
+    def config(**fields):  # each call builds its own q0 and arrays
+        return AdaptiveConfig(budget=1000, alpha0=1.0, q0=IsotropicGaussian(np.zeros(2), 1.0),
+                              seed=1, **fields)
+
+    def box(hi):
+        return np.zeros(2), np.full(2, hi)
+
+    assert config(projection_box=box(1.0)) == config(projection_box=box(1.0))
+    assert config(projection_box=box(1.0)) != config(projection_box=box(2.0))
+    assert config(projection_box=box(1.0)) != config()
+    assert config(checkpoints=np.array([10, 1000])) == config(checkpoints=np.array([10, 1000]))
+    assert config(checkpoints=np.array([10, 1000])) == config(checkpoints=[10, 1000])
+    assert config(checkpoints=np.array([10, 1000])) != config(checkpoints=np.array([20, 1000]))
+    assert config(checkpoints=np.array([10, 1000])) != config()
+    assert config() != "config"
+
+
 # ----------------------------------------------------------------------
 # Static drivers
 # ----------------------------------------------------------------------
