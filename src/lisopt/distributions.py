@@ -30,7 +30,7 @@ generators are never shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,16 @@ def derive_stream(seed: int, index: int) -> np.random.Generator:
     return make_rng(derive_seed(seed, index))
 
 
+def _equal_by_value(self, other) -> bool:
+    """``__eq__`` of a dataclass with array fields: the same type, and each
+    compared field equal element by element (the generated one asks an array
+    for a bool)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
+
+
 @dataclass(frozen=True)
 class IsotropicGaussian:
     """N(mean, variance * I_d) with scalar variance.
@@ -84,9 +94,7 @@ class IsotropicGaussian:
         if not (self.variance > 0) or not math.isfinite(self.variance):
             raise ValueError("variance must be positive and finite")
 
-    def __eq__(self, other) -> bool:  # by value: the generated one asks an array for a bool
-        return (isinstance(other, IsotropicGaussian) and self.variance == other.variance
-                and np.array_equal(self.mean, other.mean))
+    __eq__ = _equal_by_value
 
     @property
     def dimension(self) -> int:

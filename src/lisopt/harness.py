@@ -30,16 +30,17 @@ never touched.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .distributions import IsotropicGaussian, derive_seed
+from .distributions import IsotropicGaussian, _equal_by_value, derive_seed
 from .objectives import Objective, benchmark, benchmark_names, format_float
 from .optimizers import METHODS, SHARED_DRAW, AdaptiveConfig, _draw_q0, default_checkpoints
 # perfbench/tracing.py times the drivers by patching these names on this module.
@@ -60,48 +61,77 @@ class ConfigError(ValueError):
     """An experiment spec is malformed."""
 
 
-_INT_FIELDS = ("dimension", "budget", "seed", "trials", "batch_size",
-               "checkpoint_start", "checkpoint_count")
-_REAL_FIELDS = ("alpha0", "q0_variance", "mixture_weight", "sigma2")
-_STR_FIELDS = ("objective", "title", "csv_out", "svg_out")
 _INT64_MAX = 2**63 - 1
+# default_checkpoints computes this many grid points before it deduplicates them.
+_MAX_CHECKPOINT_COUNT = 10**6
+
+# What a value of each annotated kind must be, as an error message says it.
+_KIND_NOUNS = {int: "an integer", float: "a real number", str: "a string",
+               Tuple[float, ...]: "a list of real numbers", Tuple[str, ...]: "a list of method names"}
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _checked(name: str, kind, value):
+    """``value`` of the spec field ``name`` as a plain value of its annotated
+    ``kind``: an ``int``, ``float`` or ``str``, ``Optional`` of one, or a
+    ``Tuple[X, ...]``, which takes a list or a tuple and is stored as a tuple.
+
+    YAML reads 1000.0 as a float, yes as a bool and .inf as a float: a bool
+    is never a number, an integer must be integral and, except a seed, fit
+    an int64, and a real number must be finite.  Anything else raises a
+    ConfigError naming ``name``.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _checked(name, args[0], value)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_checked(f"{name} entries", args[0], v) for v in value)
+    if kind is str and isinstance(value, str):
+        return str(value)
+    number = not isinstance(value, bool)
+    if kind is int and number and isinstance(value, numbers.Integral):
+        # Counts index numpy arrays; a seed is only ever taken modulo 2**64.
+        if name != "seed" and value > _INT64_MAX:
+            raise ConfigError(f"{name} must be at most 2**63 - 1")
+        return int(value)
+    if kind is float and number and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return x
+    raise ConfigError(f"{name} must be {_KIND_NOUNS[kind]}, got {value!r}")
 
 
-def _finite_float(name: str, value) -> float:
-    """A real ``value`` as a float; a ConfigError naming ``name`` if it is not finite."""
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
+@functools.cache
+def _field_kinds(cls) -> Dict[str, object]:
+    """The annotation of each field of ``cls``, resolved once (they are strings here)."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 @dataclass
 class ExperimentSpec:
     """Everything needed to reproduce one experiment.
 
-    It checks field types and what only a spec has (objective, methods,
-    trials, checkpoint grid, q0), then owns ``config``: the ``AdaptiveConfig``
-    of every trial (seed 0), which checks the driver settings itself.  It is
-    not a field, so ``asdict``, ``to_yaml`` and ``==`` skip it.  Assigning a
-    field checks the spec again and builds ``config`` anew, as
-    ``dataclasses.replace`` does; an invalid value raises a ConfigError naming
-    the field and leaves the spec as it was.
+    It checks each field against its annotation (``_checked``) and what
+    only a spec has (objective, methods, trials, checkpoint grid, q0), then
+    owns ``config``: the ``AdaptiveConfig`` of every trial (seed 0), which
+    checks the driver settings itself.  It is not a field, so ``asdict``,
+    ``to_yaml`` and ``==`` skip it.  The sequence fields are tuples, so no
+    field changes in place; assigning one checks the spec again and builds
+    ``config`` anew, as ``dataclasses.replace`` does, and an invalid value
+    raises a ConfigError naming the field and leaves the spec as it was.
     """
 
     objective: str
     dimension: int
-    methods: List[str]
+    methods: Tuple[str, ...]
     budget: int
     seed: int
     alpha0: float
-    q0_center: List[float]
+    q0_center: Tuple[float, ...]
     q0_variance: float
     trials: int = 100
     batch_size: int = 300
@@ -114,49 +144,26 @@ class ExperimentSpec:
     svg_out: Optional[str] = None
 
     def __post_init__(self):
-        # YAML reads 1000.0 as a float and yes as a bool: reject both here,
-        # not deep inside trial 0.  Accepted numbers become plain int, float
-        # and list, so to_yaml writes back what from_yaml reads.
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            # Counts index numpy arrays; a seed is only ever taken modulo 2**64.
-            if name != "seed" and value > _INT64_MAX:
-                raise ConfigError(f"{name} must be at most 2**63 - 1")
-            setattr(self, name, int(value))
-        for name in _STR_FIELDS:
-            value = getattr(self, name)
-            if not (isinstance(value, str) or (name.endswith("_out") and value is None)):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
-        if not (isinstance(self.methods, list) and all(isinstance(m, str) for m in self.methods)):
-            raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not (_is_real(value) or (name == "sigma2" and value is None)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            # YAML reads .inf and .nan as floats: no non-finite number means anything here.
-            if value is not None:
-                setattr(self, name, _finite_float(name, value))
-        if not (isinstance(self.q0_center, (list, tuple)) and all(map(_is_real, self.q0_center))):
-            raise ConfigError(f"q0_center must be a list of real numbers, got {self.q0_center!r}")
-        self.q0_center = [_finite_float("q0_center entries", v) for v in self.q0_center]
+        for name, kind in _field_kinds(type(self)).items():
+            setattr(self, name, _checked(name, kind, getattr(self, name)))
         if self.objective not in benchmark_names():
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if not self.methods:
-            raise ConfigError("method list must be nonempty")
+            raise ConfigError("methods must be nonempty")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+                raise ConfigError(f"unknown method {m!r} in methods; choose from {tuple(METHODS)}")
             if m in self.methods[:i]:
-                raise ConfigError(f"duplicate method {m!r}")
+                raise ConfigError(f"duplicate method {m!r} in methods")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         for name in ("checkpoint_start", "checkpoint_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.checkpoint_count > _MAX_CHECKPOINT_COUNT:
+            raise ConfigError(f"checkpoint_count must be at most {_MAX_CHECKPOINT_COUNT}")
         if len(self.q0_center) != self.dimension:
             raise ConfigError("q0_center length must equal dimension")
         if not self.q0_variance > 0:
@@ -222,15 +229,7 @@ class MethodStats:
     ci_half_width: Array
     trials: int
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MethodStats)
-            and self.trials == other.trials
-            and np.array_equal(self.checkpoints, other.checkpoints)
-            and np.array_equal(self.mean_mse, other.mean_mse)
-            and np.array_equal(self.std, other.std)
-            and np.array_equal(self.ci_half_width, other.ci_half_width)
-        )
+    __eq__ = _equal_by_value
 
 
 @dataclass

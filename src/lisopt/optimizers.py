@@ -27,8 +27,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import IsotropicGaussian, MixturePolicy, make_rng
-from .estimators import _kish_ess, _log_weights_into, _normalize_into, _weighted_sum
+from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, make_rng
+from .estimators import _kish_ess, _log_weights_into, _normalize_into, _sq_dev_sum, _weighted_sum
 from .objectives import Objective
 
 Array = np.ndarray
@@ -86,6 +86,20 @@ def _positive_finite(x) -> bool:
     return x > 0 and math.isfinite(x)
 
 
+def _check_temperature(alpha0: Optional[float], fixed_alpha: Optional[float], n: int, d: int) -> None:
+    """Checks the softmin temperature of a run of n points in dimension d:
+    ``fixed_alpha`` when given, else ``alpha_schedule(alpha0, k, d)``, which
+    must stay finite up to k = n.  Each of the two that is given must be
+    positive and finite."""
+    if alpha0 is None and fixed_alpha is None:
+        raise ValueError("give alpha0 or fixed_alpha")
+    for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
+        if alpha is not None and not _positive_finite(alpha):
+            raise ValueError(f"{name} must be positive and finite")
+    if fixed_alpha is None and not math.isfinite(alpha_schedule(alpha0, n, d)):
+        raise ValueError(f"alpha0 is too large: its temperature at {n} evaluations is inf")
+
+
 @dataclass
 class AdaptiveConfig:
     """Settings of every driver, checked when the config is built.
@@ -93,7 +107,8 @@ class AdaptiveConfig:
     Fields keep what the caller gave; change one with ``dataclasses.replace``
     (assigning it leaves ``grid`` stale).  ``sigma2``, the adapted sampler's
     variance, is 1/d when None, d being q0's dimension.  ``fixed_alpha``,
-    when set, replaces the softmin drivers' temperature schedule.  The
+    when set, replaces the softmin drivers' temperature schedule, and
+    ``alpha0`` is then not needed (``_check_temperature``).  The
     static drivers use one batch of ``budget`` points whatever
     ``batch_size`` says.  ``projection_box`` is (lo, hi): two NaN-free bounds
     of one shape, a scalar or one per dimension of q0, with lo <= hi.
@@ -118,12 +133,7 @@ class AdaptiveConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if not _positive_finite(self.alpha0):
-            raise ValueError("alpha0 must be positive and finite")
-        if not math.isfinite(alpha_schedule(self.alpha0, self.budget, self.q0.dimension)):
-            raise ValueError(f"alpha0 is too large: its temperature at {self.budget} evaluations is inf")
-        if self.fixed_alpha is not None and not _positive_finite(self.fixed_alpha):
-            raise ValueError("fixed_alpha must be positive and finite")
+        _check_temperature(self.alpha0, self.fixed_alpha, self.budget, self.q0.dimension)
         if not (0.0 <= self.mixture_weight <= 1.0):
             raise ValueError("mixture_weight must lie in [0, 1]")
         if self.sigma2 is not None and not _positive_finite(self.sigma2):
@@ -140,23 +150,7 @@ class AdaptiveConfig:
         self.grid = _resolve_checkpoints(self.checkpoints, self.budget)
         self.grid.flags.writeable = False
 
-    def __eq__(self, other) -> bool:  # by value: the generated one asks an array for a bool
-        if not isinstance(other, AdaptiveConfig):
-            return NotImplemented
-        return _compared_values(self) == _compared_values(other)
-
-
-def _compared_values(config: AdaptiveConfig) -> tuple:
-    """The compared fields of a config, its array fields as lists of their values."""
-    def plain(name, value):
-        if value is None:
-            return None
-        if name == "checkpoints":
-            return np.asarray(value).tolist()
-        if name == "projection_box":
-            return [np.asarray(bound).tolist() for bound in value]
-        return value
-    return tuple(plain(f.name, getattr(config, f.name)) for f in dataclasses.fields(config) if f.compare)
+    __eq__ = _equal_by_value
 
 
 StaticConfig = AdaptiveConfig  # the static drivers take the same settings
@@ -352,13 +346,7 @@ def liso_from_sample(
     points, values = _checked_sample(points, values)
     n = len(points)
     logq = np.zeros(n) if logq is None else _checked_logq(logq, n)
-    if alpha0 is None and fixed_alpha is None:
-        raise ValueError("give alpha0 or fixed_alpha")
-    for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
-        if alpha is not None and not _positive_finite(alpha):
-            raise ValueError(f"{name} must be positive and finite")
-    if fixed_alpha is None and not math.isfinite(alpha_schedule(alpha0, n, points.shape[1])):
-        raise ValueError(f"alpha0 is too large: its temperature at {n} evaluations is inf")
+    _check_temperature(alpha0, fixed_alpha, n, points.shape[1])
     trace = _blank_trace(_resolve_checkpoints(checkpoints, n), points.shape[1])
     prefixes = _SoftminPrefixes(points, values, logq, alpha0, fixed_alpha)
     _record(trace, prefixes, 0, n)
@@ -432,8 +420,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
             mu = _project(prefixes.at(filled, with_ess=False)[0], box)
 
     if objective.known_minimizer is not None:
-        diff = trace.estimates - objective.known_minimizer
-        trace.squared_errors = np.sum(diff * diff, axis=1)
+        trace.squared_errors = _sq_dev_sum(trace.estimates, objective.known_minimizer)
     if not estimator.weighted:
         trace.ess = None
     return mu, trace

@@ -9,10 +9,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisopt import (
     AdaptiveConfig,
@@ -131,7 +133,8 @@ def test_spec_field_types_are_checked(field, value):
 
 def test_spec_ranges_are_checked():
     for field, value in (("alpha0", 0.0), ("batch_size", 0), ("mixture_weight", 1.5),
-                         ("sigma2", -1.0), ("checkpoint_start", 0), ("checkpoint_count", -3)):
+                         ("sigma2", -1.0), ("checkpoint_start", 0), ("checkpoint_count", -3),
+                         ("checkpoint_count", 10**6 + 1), ("checkpoint_count", 2**63 - 1)):
         with pytest.raises(ConfigError, match=field):
             small_spec(**{field: value})
     # numpy integers and plain ints both count as integers
@@ -204,6 +207,100 @@ def test_sigma2_defaults_to_inverse_dimension():
     spec = replace(spec, dimension=8, q0_center=[0.0] * 8)
     assert errors(spec) == errors(spec, sigma2=0.125)
     assert errors(spec) != errors(spec, sigma2=0.5)
+
+
+def test_sequence_fields_cannot_change_in_place():
+    spec = small_spec()
+    with pytest.raises(TypeError):
+        spec.q0_center[0] = 5.0
+    with pytest.raises(AttributeError):
+        spec.methods.append("liso")
+    assert spec == small_spec() and spec.config == small_spec().config
+    for center in ([5.0, 0.7], (1.5, -2.0), list(np.array([0.25, 4.0]))):
+        spec.q0_center = center
+        assert type(spec.q0_center) is tuple
+        assert np.array_equal(spec.config.q0.mean, spec.q0_center)
+    spec.methods = ["random_search"]
+    assert spec.methods == ("random_search",)
+
+
+# Values a YAML file or a caller may hand a spec field: plain and numpy
+# numbers, bools, numbers beyond an int64 or a float, strings, None, and
+# lists or tuples mixing them.
+_field_scalars = st.one_of(
+    st.integers(-3, 3000),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, 10**30, 10**400]),
+    st.booleans(),
+    st.none(),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 0.5, 2.0]),
+    st.sampled_from([np.int64(3), np.int32(400), np.uint64(2**64 - 1), np.float64(0.5),
+                     np.float32(2.0), np.bool_(True)]),
+    st.sampled_from(["sphere", "rastrigin", "liso", "random_search", "isotropic_es", "7", ""]),
+    st.text(max_size=4),
+)
+_field_values = st.one_of(
+    _field_scalars,
+    st.lists(_field_scalars, max_size=3),
+    st.lists(_field_scalars, max_size=3).map(tuple),
+)
+
+
+def _or_numpy(values, cast):
+    return values | values.map(cast)
+
+
+def _list_or_tuple(values):
+    return values | values.map(tuple)
+
+
+# Values of the right kind, plain or numpy, so that many drawn specs build.
+_counts = _or_numpy(st.integers(1, 3000), np.int64)
+_reals = _or_numpy(st.floats(1e-300, 1e300), np.float64)
+_strings = st.text(max_size=6)
+_plausible_fields = st.fixed_dictionaries({}, optional={
+    "objective": st.sampled_from(["sphere", "rastrigin", "ackley"]),
+    "methods": _list_or_tuple(st.lists(st.sampled_from(["liso", "random_search", "isotropic_es"]),
+                                       min_size=1, max_size=3, unique=True)),
+    "budget": _counts | st.just(2**63 - 1),
+    "seed": st.integers(-(2**70), 2**70) | st.integers(0, 2**64 - 1).map(np.uint64),
+    "alpha0": _reals,
+    "q0_center": _list_or_tuple(st.lists(_or_numpy(st.floats(-1e300, 1e300), np.float64),
+                                         min_size=2, max_size=2)),
+    "q0_variance": _reals,
+    "trials": _counts,
+    "batch_size": _counts,
+    "mixture_weight": _or_numpy(st.floats(0.0, 1.0), np.float64) | st.sampled_from([0, 1]),
+    "sigma2": st.none() | _reals,
+    "checkpoint_start": _counts,
+    "checkpoint_count": _counts,
+    "title": _strings,
+    "csv_out": st.none() | _strings,
+    "svg_out": st.none() | _strings,
+})
+_FIELD_NAMES = [f.name for f in fields(ExperimentSpec)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(plausible=_plausible_fields,
+       odd=st.dictionaries(st.sampled_from(_FIELD_NAMES), _field_values, max_size=2))
+def test_a_spec_is_plain_or_a_config_error_naming_a_drawn_field(tmp_path_factory, plausible, odd):
+    drawn = {**plausible, **odd}
+    try:
+        spec = small_spec(**drawn)
+    except ConfigError as exc:
+        assert any(name in str(exc) for name in drawn), str(exc)
+        return
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        assert type(value) in (int, float, str, tuple, type(None)), (f.name, value)
+        if type(value) is tuple:
+            assert all(type(v) in (float, str) for v in value), (f.name, value)
+    path = tmp_path_factory.getbasetemp() / "drawn_spec.yaml"
+    spec.to_yaml(str(path))
+    loaded = ExperimentSpec.from_yaml(str(path))
+    assert loaded == spec and loaded.config == spec.config
 
 
 # ----------------------------------------------------------------------
