@@ -13,6 +13,7 @@ Run:  python3 demos/tempered_mean_oracle.py
 from lisopt import (
     CUBIC_DOMAIN,
     QuadratureSpec,
+    benchmark,
     cubic_perturbed_quadratic,
     gibbs_mean,
     laplace_gap,
@@ -34,7 +35,5 @@ for alpha, gap in zip(alphas, gaps):
 
 print("\nEach doubling of alpha roughly halves the gap (1/alpha decay).")
 print("A symmetric objective has no gap at all:")
-quad_gap = laplace_gap(
-    lambda x: float(np.sum(np.asarray(x) ** 2)), np.zeros(1), ((-8.0, 8.0),), [16.0]
-)[0]
+quad_gap = laplace_gap(benchmark("sphere", 1), np.zeros(1), ((-8.0, 8.0),), [16.0])[0]
 print(f"  pure quadratic, alpha=16: gap = {quad_gap:.1e}")

@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "distributions": ("IsotropicGaussian", "MixturePolicy", "derive_seed", "derive_stream",
-                          "make_rng"),
+        "distributions": ("IsotropicGaussian", "MixturePolicy", "derive_seed", "make_rng"),
         "estimators": ("DegenerateWeightsError", "bootstrap_stderr", "effective_sample_size",
                        "laplace_log_weights", "normalized_weights", "self_normalized_average"),
         "harness": ("ExperimentReport", "ExperimentSpec", "MethodStats", "emit_csv",

@@ -43,7 +43,7 @@ _DRIVERS = METHODS
 
 _ORACLE_FUNCTIONS = {
     "quad-cubic": (cubic_perturbed_quadratic, CUBIC_DOMAIN, np.zeros(1)),
-    "quadratic": (lambda x: float(np.sum(np.asarray(x) ** 2)), ((-8.0, 8.0),), np.zeros(1)),
+    "quadratic": (benchmark("sphere", 1), ((-8.0, 8.0),), np.zeros(1)),
 }
 
 

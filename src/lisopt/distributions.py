@@ -5,9 +5,10 @@ Randomness contract
 All sampling goes through ``numpy.random.Generator`` seeded with PCG64.
 Gaussian variates come from numpy's ziggurat implementation of
 ``standard_normal``; together with PCG64 this fixes bit-exact sample streams
-for a given seed, across runs and platforms.  Per-trial streams are derived
-with :func:`derive_stream` (seed XOR a splitmix64 hash of the trial index),
-so trials are reproducible independently and in parallel.
+for a given seed, across runs and platforms.  A trial's generator is
+``make_rng(derive_seed(seed, index))``: the base seed XOR a splitmix64 hash
+of the trial index, so trials are reproducible independently and in
+parallel.
 
 Sampling is affine: a policy scales a block of standard normals by its
 standard deviations and adds its means, in place in the block it drew.  That
@@ -21,10 +22,12 @@ Log-densities square and sum one column at a time (``_sq_dev_sum`` of
 :mod:`lisopt.estimators`, the bits of numpy's row sum), with no (m, d)
 temporary below eight dimensions; ``log_density_batch(points, out=buf)``
 writes them into a caller's (m,) float buffer and returns it, with the bits of
-the call without ``out``.
+the call without ``out``.  Densities are batch-only: the log-density at one
+point x is ``log_density_batch(x[None])[0]``.
 
-Policies are immutable after construction and safe to share between workers;
-generators are never shared.
+Policies are values: immutable after construction (a Gaussian keeps its own
+read-only copy of its mean) and safe to share between workers; generators
+are never shared.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import _sq_dev_sum
+from .estimators import _positive_finite, _sq_dev_sum
 
 Array = np.ndarray
 
@@ -59,11 +62,6 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed & _MASK64) ^ _splitmix64(index)
 
 
-def derive_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for sub-stream ``index`` of a base seed."""
-    return make_rng(derive_seed(seed, index))
-
-
 def _equal_by_value(self, other) -> bool:
     """``__eq__`` of a dataclass with array fields: the same type, and each
     compared field equal element by element (the generated one asks an array
@@ -72,6 +70,13 @@ def _equal_by_value(self, other) -> bool:
         return NotImplemented
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                for f in fields(self) if f.compare)
+
+
+def _rebuilt_by_value(self):
+    """``__reduce__`` of a checked dataclass: unpickling calls the class on
+    the init fields, so a copy in another process is checked and read-only
+    as the original is."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)
@@ -87,21 +92,19 @@ class IsotropicGaussian:
     variance: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)  # a copy the caller cannot change
+        mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         if mean.ndim != 1 or not np.isfinite(mean).all():
             raise ValueError("mean must be a finite 1-d vector")
-        if not (self.variance > 0) or not math.isfinite(self.variance):
-            raise ValueError("variance must be positive and finite")
+        _positive_finite("variance", self.variance)
 
     __eq__ = _equal_by_value
+    __reduce__ = _rebuilt_by_value
 
     @property
     def dimension(self) -> int:
         return self.mean.size
-
-    def log_density(self, x) -> float:
-        return float(self.log_density_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def log_density_batch(self, points: Array, out=None) -> Array:
         d = self.dimension
@@ -143,9 +146,6 @@ class MixturePolicy:
     @property
     def dimension(self) -> int:
         return self.adapted.dimension
-
-    def log_density(self, x) -> float:
-        return float(self.log_density_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def log_density_batch(self, points: Array, out=None) -> Array:
         # Degenerate weights return the component bit-exactly.

@@ -13,11 +13,19 @@ squared deviations, sum_j (x_ij - c_j)^2, with the same bits: below eight
 columns it squares and adds one column at a time into an (n,) result, so the
 sphere, the rms term of Ackley and the Gaussian log-density make no (n, d)
 temporary.  The public functions validate their inputs and run these steps
-on fresh arrays.  The softmin drivers validate values and log-densities once,
-when each batch is evaluated, not on every re-weighting; they anchor each
-prefix at a running minimum of its values, keep the shifted values
-``values - ref`` from one re-weighting to the next, and run the steps on one
-work buffer per run.
+on fresh arrays.
+
+Each rule on the inputs of the weights is written once, here, and the
+drivers, configs and policies call it too: ``_positive_finite`` for a
+temperature or a variance, ``_checked_points`` for a nonempty (n, d) array
+of finite points, ``_checked_values`` for one finite or +inf value per
+point, and ``_checked_logq`` for one finite log-density per point.
+``normalized_weights``, which the average, the ESS and the bootstrap go
+through, refuses a NaN or +inf log-weight.  The softmin drivers validate
+values and log-densities once, when each batch is evaluated, not on every
+re-weighting; they anchor each prefix at a running minimum of its values,
+keep the shifted values ``values - ref`` from one re-weighting to the next,
+and run the steps on one work buffer per run.
 
 ``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
 product in lisopt goes through it, so output bits do not depend on the
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from typing import Optional
 
@@ -196,6 +205,34 @@ def _kish_ess(p: Array) -> float:
     return float(1.0 / p.sum())
 
 
+def _positive_finite(name: str, x) -> None:
+    """Raises ValueError unless x is positive and finite: the rule for a
+    temperature or a variance."""
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _checked_points(points) -> Array:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or len(points) < 1 or not np.isfinite(points).all():
+        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
+    return points
+
+
+def _checked_values(values, n: int) -> Array:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,) or not (values > -np.inf).all():  # no NaN, no -inf
+        raise ValueError("values must hold one finite or +inf number per point")
+    return values
+
+
+def _checked_logq(logq, n: int) -> Array:
+    logq = np.asarray(logq, dtype=float)
+    if logq.shape != (n,) or not np.isfinite(logq).all():
+        raise ValueError("sample log-densities must be finite, one per point")
+    return logq
+
+
 def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array) -> Array:
     """Log importance weights  -alpha * (f(X^i) - min_j f(X^j)) - log q(X^i).
 
@@ -205,31 +242,29 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
     magnitude, so additive shifts of the objective cancel exactly instead of
     being amplified by alpha through floating-point rounding.
 
-    ``values`` may contain +inf as a zero-weight sentinel (infinite penalty),
-    which maps to a -inf log-weight.  If every value is +inf, all log-weights
-    are -inf; downstream consumers raise :class:`DegenerateWeightsError`.
+    ``alpha`` is positive and finite, and each value has a finite
+    log-density.  ``values`` may contain +inf as a zero-weight sentinel
+    (infinite penalty), which maps to a -inf log-weight.  If every value is
+    +inf, all log-weights are -inf; downstream consumers raise
+    :class:`DegenerateWeightsError`.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    values = np.asarray(values, dtype=float)
-    logq = np.asarray(sample_log_densities, dtype=float)
-    if values.shape != logq.shape:
-        raise ValueError("values and sample_log_densities must share a shape")
-    if np.any(np.isnan(values)) or np.any(values == -np.inf):
-        raise ValueError("values must be finite or +inf")
-    if not np.all(np.isfinite(logq)):
-        raise ValueError("sample log-densities must be finite")
-    ref = np.min(values) if values.size else np.inf
+    _positive_finite("alpha", alpha)
+    values = _checked_values(values, np.size(values))
+    logq = _checked_logq(sample_log_densities, values.size)
+    ref = values.min() if values.size else np.inf
     if ref == np.inf:
         return np.full(values.shape, -np.inf)
-    with np.errstate(invalid="ignore"):  # an infinite alpha times a zero shift
-        shifted = np.subtract(values, ref, out=np.empty(values.shape))
-        return _log_weights_into(shifted, alpha, shifted, logq)
+    shifted = values - ref
+    return _log_weights_into(shifted, alpha, shifted, logq)
 
 
 def normalized_weights(log_weights: Array) -> Array:
-    """Max-shifted softmax of the log-weights; nonnegative, sums to 1."""
-    return _normalize_into(np.array(log_weights, dtype=float))
+    """Max-shifted softmax of the log-weights, each finite or -inf;
+    nonnegative, sums to 1."""
+    w = np.array(log_weights, dtype=float)
+    if not (w < np.inf).all():  # no NaN, no +inf
+        raise ValueError("log-weights must be finite or -inf")
+    return _normalize_into(w)
 
 
 def self_normalized_average(points: Array, log_weights: Array) -> Array:
@@ -240,9 +275,9 @@ def self_normalized_average(points: Array, log_weights: Array) -> Array:
     shifts and unknown normalizers cancel.  The sum runs on one BLAS thread,
     so its bits do not depend on the thread count.
     """
-    points = np.asarray(points, dtype=float)
+    points = _checked_points(points)
     lw = np.asarray(log_weights, dtype=float)
-    if points.ndim != 2 or points.shape[0] != lw.shape[0]:
+    if lw.shape != (len(points),):
         raise ValueError("points must be (n, d) with one log-weight per row")
     return _weighted_sum(normalized_weights(lw), points)
 

@@ -379,7 +379,7 @@ def fit_loglog_slope(
     """OLS fit of log(mean MSE) against log(n) over a checkpoint range.
 
     Returns (slope, intercept, r_squared).  Requires at least 5 checkpoints
-    with strictly positive mean MSE inside the range.
+    with positive and finite mean MSE inside the range.
     """
     try:
         stats = report.methods[method]
@@ -390,8 +390,8 @@ def fit_loglog_slope(
     mask = np.ones(n.size, dtype=bool)
     if n_range is not None:
         mask &= (n >= n_range[0]) & (n <= n_range[1])
-    if np.any(mse[mask] <= 0):
-        raise ValueError("mean MSE must be positive throughout the fit range")
+    if not ((mse[mask] > 0) & (mse[mask] < np.inf)).all():  # false at NaN too
+        raise ValueError("mean MSE must be positive and finite throughout the fit range")
     if np.count_nonzero(mask) < 5:
         raise ValueError("need at least 5 checkpoints in the fit range")
     x = np.log(n[mask])

@@ -27,8 +27,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, make_rng
-from .estimators import _kish_ess, _log_weights_into, _normalize_into, _sq_dev_sum, _weighted_sum
+from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, _rebuilt_by_value, make_rng
+from .estimators import (_checked_logq, _checked_points, _checked_values, _kish_ess, _log_weights_into,
+                         _normalize_into, _positive_finite, _sq_dev_sum, _weighted_sum)
 from .objectives import Objective
 
 Array = np.ndarray
@@ -41,8 +42,7 @@ def alpha_schedule(alpha0: float, n: int, d: int) -> float:
     temperature) against the bias of the softmin relative to the true argmin
     (which shrinks with it).
     """
-    if not alpha0 > 0:
-        raise ValueError("alpha0 must be positive")
+    _positive_finite("alpha0", alpha0)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     return alpha0 * float(n) ** (2.0 / (d + 2.0))
@@ -82,10 +82,6 @@ class RunTrace:
     degenerate_final: bool = False
 
 
-def _positive_finite(x) -> bool:
-    return x > 0 and math.isfinite(x)
-
-
 def _check_temperature(alpha0: Optional[float], fixed_alpha: Optional[float], n: int, d: int) -> None:
     """Checks the softmin temperature of a run of n points in dimension d:
     ``fixed_alpha`` when given, else ``alpha_schedule(alpha0, k, d)``, which
@@ -94,23 +90,23 @@ def _check_temperature(alpha0: Optional[float], fixed_alpha: Optional[float], n:
     if alpha0 is None and fixed_alpha is None:
         raise ValueError("give alpha0 or fixed_alpha")
     for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
-        if alpha is not None and not _positive_finite(alpha):
-            raise ValueError(f"{name} must be positive and finite")
+        if alpha is not None:
+            _positive_finite(name, alpha)
     if fixed_alpha is None and not math.isfinite(alpha_schedule(alpha0, n, d)):
         raise ValueError(f"alpha0 is too large: its temperature at {n} evaluations is inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveConfig:
     """Settings of every driver, checked when the config is built.
 
-    Fields keep what the caller gave; change one with ``dataclasses.replace``
-    (assigning it leaves ``grid`` stale).  ``sigma2``, the adapted sampler's
-    variance, is 1/d when None, d being q0's dimension.  ``fixed_alpha``,
-    when set, replaces the softmin drivers' temperature schedule, and
-    ``alpha0`` is then not needed (``_check_temperature``).  The
-    static drivers use one batch of ``budget`` points whatever
-    ``batch_size`` says.  ``projection_box`` is (lo, hi): two NaN-free bounds
+    A config is a value: fields keep what the caller gave and cannot be
+    assigned; ``dataclasses.replace`` makes a changed copy, with its own
+    ``grid``.  ``sigma2``, the adapted sampler's variance, is 1/d when None,
+    d being q0's dimension.  ``fixed_alpha``, when set, replaces the softmin
+    drivers' temperature schedule, and ``alpha0`` is then not needed
+    (``_check_temperature``).  The static drivers use one batch of
+    ``budget`` points whatever ``batch_size`` says.  ``projection_box`` is (lo, hi): two NaN-free bounds
     of one shape, a scalar or one per dimension of q0, with lo <= hi.
     ``grid`` resolves the ``checkpoints`` asked for (the default grid when
     None), once: a read-only int array, sorted and distinct in [1, budget]
@@ -136,8 +132,8 @@ class AdaptiveConfig:
         _check_temperature(self.alpha0, self.fixed_alpha, self.budget, self.q0.dimension)
         if not (0.0 <= self.mixture_weight <= 1.0):
             raise ValueError("mixture_weight must lie in [0, 1]")
-        if self.sigma2 is not None and not _positive_finite(self.sigma2):
-            raise ValueError("sigma2 must be positive and finite")
+        if self.sigma2 is not None:
+            _positive_finite("sigma2", self.sigma2)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.projection_box is not None:
@@ -147,20 +143,15 @@ class AdaptiveConfig:
                 raise ValueError(f"projection_box bounds must share one shape: (), (1,) or ({d},)")
             if not np.all(lo <= hi):  # false at a NaN bound too
                 raise ValueError("projection_box must be nonempty, with no NaN bound")
-        self.grid = _resolve_checkpoints(self.checkpoints, self.budget)
-        self.grid.flags.writeable = False
+        grid = _resolve_checkpoints(self.checkpoints, self.budget)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
 
     __eq__ = _equal_by_value
+    __reduce__ = _rebuilt_by_value
 
 
 StaticConfig = AdaptiveConfig  # the static drivers take the same settings
-
-
-def _checked_logq(logq, n: int) -> Array:
-    logq = np.asarray(logq, dtype=float)
-    if logq.shape != (n,) or not np.isfinite(logq).all():
-        raise ValueError("sample log-densities must be finite, one per point")
-    return logq
 
 
 def _project(x: Array, box: Optional[Tuple[Array, Array]]) -> Array:
@@ -293,15 +284,10 @@ class _RecombinePrefixes:
 def _checked_sample(points, values, shape=None) -> Tuple[Array, Array]:
     """A random search's record as float arrays, checked: finite points, of
     ``shape`` when given, and one finite or +inf value per point."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) < 1 or not np.isfinite(points).all():
-        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
+    points = _checked_points(points)
     if shape is not None and points.shape != shape:
         raise ValueError(f"the sample must hold {shape[0]} points of dimension {shape[1]}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(points),) or not (values > -np.inf).all():  # no NaN, no -inf
-        raise ValueError("values must hold one finite or +inf number per point")
-    return points, values
+    return points, _checked_values(values, len(points))
 
 
 def _record(trace: RunTrace, prefixes, k: int, filled: int, box=None) -> int:

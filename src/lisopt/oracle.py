@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import _one_blas_thread
+from .estimators import _one_blas_thread, _positive_finite
 
 Array = np.ndarray
 
@@ -49,8 +49,7 @@ class QuadratureSpec:
                 raise ValueError("domain box must be finite and nonempty")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and >= 3")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        _positive_finite("alpha", self.alpha)
 
     @property
     def dimension(self) -> int:
@@ -84,7 +83,10 @@ def _shifted_boltzmann(f: Callable, nodes: Array, alpha: float) -> Tuple[Array, 
     if not np.all(np.isfinite(values)):
         raise QuadratureError("objective is non-finite on the quadrature box")
     shift = float(np.min(values))
-    return np.exp(-alpha * (values - shift)), shift
+    # At a huge alpha the exponent overflows to -inf away from the minimum,
+    # and the factor underflows to its exact limit, 0.
+    with np.errstate(over="ignore"):
+        return np.exp(-alpha * (values - shift)), shift
 
 
 def gibbs_normalizer(f: Callable, spec: QuadratureSpec) -> Tuple[float, float]:

@@ -2,6 +2,7 @@ import glob
 import os
 import shlex
 import sys
+import warnings
 from xml.dom import minidom
 
 import numpy as np
@@ -444,6 +445,20 @@ def test_slope_zero_max_n_fits_no_checkpoint(tmp_path, capsys):
                              "--max-n", "0")
     assert code == 2 and not out
     assert "need at least 5 checkpoints in the fit range" in err
+
+
+def test_slope_refuses_a_non_finite_mean(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    synthetic_csv(str(path))
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    lines[3] = ",".join(row[:2] + ["inf"] + row[3:])
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m")
+    assert code == 2 and not out and not caught
+    assert "mean MSE must be positive and finite throughout the fit range" in err
 
 
 def test_slope_unknown_method_is_usage_error(tmp_path, capsys):

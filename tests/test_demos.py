@@ -16,6 +16,7 @@ def test_demo_runs(demo, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(lisopt.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, LISOPT_WORKERS="1")
-    out = subprocess.run([sys.executable, os.path.abspath(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120)
+    # The suite's warning policy (pyproject.toml) holds for the demos too.
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", os.path.abspath(demo)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

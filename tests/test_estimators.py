@@ -17,6 +17,7 @@ from lisopt import (
     bootstrap_stderr,
     effective_sample_size,
     laplace_log_weights,
+    liso_from_sample,
     make_rng,
     normalized_weights,
     self_normalized_average,
@@ -56,6 +57,44 @@ def test_log_weights_validation():
         laplace_log_weights(1.0, np.array([np.nan]), np.zeros(1))
     with pytest.raises(ValueError):
         laplace_log_weights(1.0, np.zeros(1), np.array([np.inf]))
+
+
+VALID = dict(alpha=1.0, values=np.array([1.0, 2.0, 3.0]), logq=np.zeros(3))
+
+
+@pytest.mark.parametrize("change", [
+    dict(alpha=0.0), dict(alpha=-1.0), dict(alpha=np.inf), dict(alpha=np.nan),
+    dict(values=np.array([1.0, np.nan, 3.0])), dict(values=np.array([1.0, -np.inf, 3.0])),
+    dict(logq=np.array([0.0, np.inf, 0.0])), dict(logq=np.array([0.0, -np.inf, 0.0])),
+    dict(logq=np.array([0.0, np.nan, 0.0])), dict(logq=np.zeros(2)), dict(logq=np.zeros(4)),
+], ids=["alpha0", "alpha-1", "alpha_inf", "alpha_nan", "value_nan", "value_-inf",
+        "logq_inf", "logq_-inf", "logq_nan", "logq_short", "logq_long"])
+def test_log_weights_and_liso_from_sample_refuse_the_same_inputs(change):
+    kw = {**VALID, **change}
+    with pytest.raises(ValueError):
+        laplace_log_weights(kw["alpha"], kw["values"], kw["logq"])
+    points = np.zeros((kw["values"].size, 2))
+    for name in ("alpha0", "fixed_alpha"):
+        with pytest.raises(ValueError):
+            liso_from_sample(points, kw["values"], logq=kw["logq"], **{name: kw["alpha"]})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_public_weight_functions_refuse_nan_and_inf_log_weights(bad):
+    lw = np.array([0.0, bad, bad, bad])
+    pts = np.zeros((4, 1))
+    calls = [lambda: normalized_weights(lw), lambda: self_normalized_average(pts, lw),
+             lambda: effective_sample_size(lw),
+             lambda: bootstrap_stderr(pts, lw, make_rng(0), resamples=3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="log-weights must be finite or -inf"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_average_refuses_non_finite_points(bad):
+    with pytest.raises(ValueError, match=r"points must be a nonempty \(n, d\) array of finite"):
+        self_normalized_average(np.array([[bad], [1.0]]), np.zeros(2))
 
 
 def test_average_equal_weights_is_midpoint():

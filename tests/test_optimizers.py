@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -446,6 +447,26 @@ def test_one_config_serves_every_driver():
     cfg = replace(cfg, q0=IsotropicGaussian(mean=np.ones(8), variance=0.5))
     assert trace(cfg) == trace(replace(cfg, sigma2=0.125))
     assert trace(cfg) != trace(replace(cfg, sigma2=0.25))
+
+
+def test_a_config_is_a_value_whose_fields_cannot_be_assigned():
+    q0 = IsotropicGaussian(mean=np.ones(2), variance=0.5)
+    cfg = AdaptiveConfig(budget=2000, alpha0=1.0, q0=q0, seed=3, batch_size=100)
+    for name, value in (("budget", 1000), ("grid", np.array([1000]))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    # Assigning the budget used to leave the grid, and so trace rows no
+    # run writes, at the old budget; a changed copy resolves its own.
+    assert cfg.budget == 2000 and cfg.grid[-1] == 2000
+    assert replace(cfg, budget=1000).grid[-1] == 1000
+
+
+def test_a_config_and_its_q0_stay_read_only_through_pickle():
+    # Pool workers get their configs by pickle.
+    cfg = adaptive_cfg(900, 5, checkpoints=[10, 900])
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy.grid.tolist() == [10, 900]
+    assert not copy.grid.flags.writeable and not copy.q0.mean.flags.writeable
 
 
 @pytest.mark.parametrize("field", ["alpha0", "fixed_alpha", "sigma2"])

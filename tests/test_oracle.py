@@ -20,6 +20,12 @@ from lisopt import (
 from lisopt.oracle import CUBIC_DOMAIN
 
 
+def test_gibbs_mean_at_a_huge_temperature_is_the_grid_minimizer():
+    # No overflow warning: the suite turns every RuntimeWarning into an error.
+    mean = gibbs_mean(cubic_perturbed_quadratic, QuadratureSpec(CUBIC_DOMAIN, 1601, 1e308))
+    assert np.array_equal(mean, [0.0])
+
+
 def quadratic(x):
     return float(np.sum(np.asarray(x) ** 2))
 
