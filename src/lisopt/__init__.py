@@ -33,8 +33,7 @@ _EXPORTS = {
                        "liso_from_sample", "run_adaptive_liso", "run_adaptive_random_search",
                        "run_isotropic_es", "run_liso", "run_random_search"),
         "oracle": ("CUBIC_DOMAIN", "QuadratureError", "QuadratureSpec",
-                   "cubic_perturbed_quadratic", "gibbs_mean", "gibbs_mean_checked",
-                   "gibbs_normalizer", "laplace_gap"),
+                   "cubic_perturbed_quadratic", "gibbs_mean", "laplace_gap"),
     }.items()
     for name in names
 }

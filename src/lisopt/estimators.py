@@ -20,12 +20,14 @@ drivers, configs and policies call it too: ``_positive_finite`` for a
 temperature or a variance, ``_checked_points`` for a nonempty (n, d) array
 of finite points, ``_checked_values`` for one finite or +inf value per
 point, and ``_checked_logq`` for one finite log-density per point.
-``normalized_weights``, which the average, the ESS and the bootstrap go
-through, refuses a NaN or +inf log-weight.  The softmin drivers validate
+``_checked_log_weights``, which every public function of log-weights goes
+through, refuses a NaN or +inf log-weight; the average and the bootstrap
+check their points and log-weights together (``_checked_pairs``), the
+bootstrap once for all its resamples.  The softmin drivers validate
 values and log-densities once, when each batch is evaluated, not on every
-re-weighting; they anchor each prefix at a running minimum of its values,
-keep the shifted values ``values - ref`` from one re-weighting to the next,
-and run the steps on one work buffer per run.
+re-weighting; they anchor each prefix at a running minimum of its values
+and run the steps on one work buffer per run, which holds the shifted values
+``values - ref`` and then, in place, the weights.
 
 ``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
 product in lisopt goes through it, so output bits do not depend on the
@@ -38,7 +40,7 @@ import ctypes
 import functools
 import math
 import threading
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -258,13 +260,27 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
     return _log_weights_into(shifted, alpha, shifted, logq)
 
 
-def normalized_weights(log_weights: Array) -> Array:
-    """Max-shifted softmax of the log-weights, each finite or -inf;
-    nonnegative, sums to 1."""
+def _checked_log_weights(log_weights) -> Array:
+    """A float copy of the log-weights, each finite or -inf."""
     w = np.array(log_weights, dtype=float)
     if not (w < np.inf).all():  # no NaN, no +inf
         raise ValueError("log-weights must be finite or -inf")
-    return _normalize_into(w)
+    return w
+
+
+def _checked_pairs(points, log_weights) -> Tuple[Array, Array]:
+    """Finite (n, d) points and a float copy of one log-weight per row."""
+    points = _checked_points(points)
+    lw = np.asarray(log_weights, dtype=float)
+    if lw.shape != (len(points),):
+        raise ValueError("points must be (n, d) with one log-weight per row")
+    return points, _checked_log_weights(lw)
+
+
+def normalized_weights(log_weights: Array) -> Array:
+    """Max-shifted softmax of the log-weights, each finite or -inf;
+    nonnegative, sums to 1."""
+    return _normalize_into(_checked_log_weights(log_weights))
 
 
 def self_normalized_average(points: Array, log_weights: Array) -> Array:
@@ -275,11 +291,8 @@ def self_normalized_average(points: Array, log_weights: Array) -> Array:
     shifts and unknown normalizers cancel.  The sum runs on one BLAS thread,
     so its bits do not depend on the thread count.
     """
-    points = _checked_points(points)
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.shape != (len(points),):
-        raise ValueError("points must be (n, d) with one log-weight per row")
-    return _weighted_sum(normalized_weights(lw), points)
+    points, lw = _checked_pairs(points, log_weights)
+    return _weighted_sum(_normalize_into(lw), points)
 
 
 def effective_sample_size(log_weights: Array) -> float:
@@ -299,13 +312,13 @@ def bootstrap_stderr(
     """Componentwise bootstrap standard error of the weighted average.
 
     Resamples the (point, log-weight) pairs with replacement and recomputes
-    the estimator per resample.
+    the estimator per resample, with the bits of ``self_normalized_average``.
+    The inputs are checked once, before the first resample draws from ``rng``.
     """
-    points = np.asarray(points, dtype=float)
-    lw = np.asarray(log_weights, dtype=float)
-    n = points.shape[0]
+    points, lw = _checked_pairs(points, log_weights)
+    n = len(points)
     estimates = np.empty((resamples, points.shape[1]))
     for b in range(resamples):
         idx = rng.integers(0, n, size=n)
-        estimates[b] = self_normalized_average(points[idx], lw[idx])
+        estimates[b] = _weighted_sum(_normalize_into(lw[idx]), points[idx])
     return np.std(estimates, axis=0, ddof=1)

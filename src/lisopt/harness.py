@@ -176,6 +176,18 @@ class ExperimentSpec:
                     self.budget, count=self.checkpoint_count, start=self.checkpoint_start))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # A draw lies within 10 standard deviations of its center, so a squared
+        # error stays below d (max|c_i| + 10 sd)^2, sd the larger of q0's and a
+        # given sigma2's (the default, 1/d, is too small to matter); the trials'
+        # sum of squared deviations of those must be finite.
+        center, sd = max(map(abs, self.q0_center)), 0.0
+        for name, variance in (("q0_center", 0.0), ("q0_variance", self.q0_variance),
+                               ("sigma2", self.sigma2 or 0.0)):
+            sd = max(sd, math.sqrt(variance))
+            bound = self.dimension * (center + 10.0 * sd) * (center + 10.0 * sd)
+            if not math.isfinite(self.trials * bound * bound):
+                raise ConfigError(f"{name} is too large: its draws' squared norms reach {bound:.3g}, "
+                                  f"and their mean and spread over {self.trials} trials would overflow")
         for m in self.methods:
             least = METHODS[m][1]
             if self.batch_size < least:

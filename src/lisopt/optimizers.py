@@ -163,16 +163,16 @@ def _project(x: Array, box: Optional[Tuple[Array, Array]]) -> Array:
 class _SoftminPrefixes:
     """Softmin averages of growing prefixes of one evaluated sample.
 
-    ``at(c)`` re-weights the first c points, log-weights and then normalized
-    weights, in place in one work buffer of the sample's length, so the
-    average and the ESS come from the same weights.  The log-weights are
-    anchored at the smallest value among the c points; prefixes are asked for
-    in increasing c, so one running minimum ``ref`` serves them all, and the
-    shifted values ``values - ref`` are kept from one prefix to the next: new
-    points extend them while the minimum holds, and all are recomputed when
-    it falls.  A prefix whose values are all +inf has no weight left and falls
-    back to its argmin point.  The arrays may still be filling: only their
-    first c entries are read.
+    ``at(c)`` re-weights the first c points in one work buffer of the
+    sample's length: the shifted values ``values - ref``, then in place the
+    log-weights and the normalized weights, so the average and the ESS come
+    from the same weights.  The log-weights are anchored at the smallest
+    value among the c points; prefixes are asked for in increasing c, so one
+    running minimum ``ref`` serves them all.  The buffer is allocated at the
+    first weighting, after the run's first log-densities and their scratch,
+    and held for the rest of the run.  A prefix whose values are all +inf has
+    no weight left and falls back to its argmin point.  The arrays may still
+    be filling: only their first c entries are read.
     """
 
     weighted = True  # reads the sampling log-densities
@@ -182,8 +182,7 @@ class _SoftminPrefixes:
         self.points, self.values, self.logq = points, values, logq
         self.alpha0, self.fixed_alpha = alpha0, fixed_alpha
         self.ref, self.upto = math.inf, 0  # ref = min(values[:upto])
-        self.shifted, self.work = np.empty(len(values)), np.empty(len(values))
-        self.fresh = 0  # shifted[:fresh] = values[:fresh] - ref
+        self.work = None
 
     @property
     def degenerate(self) -> bool:
@@ -192,18 +191,17 @@ class _SoftminPrefixes:
 
     def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
         """Softmin average of the first c points, and its ESS when asked (else NaN)."""
-        low = self.values[self.upto:c].min()
-        if low < self.ref:
-            self.ref, self.fresh = low, 0
+        self.ref = min(self.ref, self.values[self.upto:c].min())
         self.upto = c
         if self.degenerate:
             return self.points[np.argmin(self.values[:c])], math.nan
-        np.subtract(self.values[self.fresh:c], self.ref, out=self.shifted[self.fresh:c])
-        self.fresh = c
+        if self.work is None:
+            self.work = np.empty(len(self.values))
+        w = np.subtract(self.values[:c], self.ref, out=self.work[:c])
         alpha = self.fixed_alpha
         if alpha is None:
             alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
-        p = _normalize_into(_log_weights_into(self.work[:c], alpha, self.shifted[:c], self.logq[:c]))
+        p = _normalize_into(_log_weights_into(w, alpha, w, self.logq[:c]))
         return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
 
 

@@ -73,8 +73,8 @@ def _grid(spec: QuadratureSpec):
     return nodes, weights
 
 
-def _shifted_boltzmann(f: Callable, nodes: Array, alpha: float) -> Tuple[Array, float]:
-    """exp(-alpha (f - shift)) at each node, and shift = min of f on the nodes."""
+def _shifted_boltzmann(f: Callable, nodes: Array, alpha: float) -> Array:
+    """exp(-alpha (f - shift)) at each node, shift being the min of f on the nodes."""
     evaluate_batch = getattr(f, "evaluate_batch", None)
     if evaluate_batch is not None:
         values = np.asarray(evaluate_batch(nodes), dtype=float)
@@ -86,20 +86,7 @@ def _shifted_boltzmann(f: Callable, nodes: Array, alpha: float) -> Tuple[Array, 
     # At a huge alpha the exponent overflows to -inf away from the minimum,
     # and the factor underflows to its exact limit, 0.
     with np.errstate(over="ignore"):
-        return np.exp(-alpha * (values - shift)), shift
-
-
-def gibbs_normalizer(f: Callable, spec: QuadratureSpec) -> Tuple[float, float]:
-    """Simpson approximation of integral exp(-alpha (f - shift)) over the box.
-
-    Returns (shifted_integral, shift) where shift = min of f on the grid.
-    The true normalizer is shifted_integral * exp(-alpha * shift); callers
-    work with the pair so no underflow occurs.  The shift cancels in every
-    tempered-measure ratio.
-    """
-    nodes, weights = _grid(spec)
-    integrand, shift = _shifted_boltzmann(f, nodes, spec.alpha)
-    return float(_one_blas_thread(np.dot, weights, integrand)), shift
+        return np.exp(-alpha * (values - shift))
 
 
 def gibbs_mean(f: Callable, spec: QuadratureSpec, *,
@@ -111,26 +98,13 @@ def gibbs_mean(f: Callable, spec: QuadratureSpec, *,
     by a caller that evaluates several temperatures on one grid.
     """
     nodes, weights = _grid(spec) if grid is None else grid
-    integrand, _ = _shifted_boltzmann(f, nodes, spec.alpha)
+    integrand = _shifted_boltzmann(f, nodes, spec.alpha)
     z = float(_one_blas_thread(np.dot, weights, integrand))
     if z <= 0.0 or not math.isfinite(z):
         raise QuadratureError(
             "normalizer underflowed after shifting; enlarge the box"
         )
     return _one_blas_thread(np.matmul, weights * integrand, nodes) / z
-
-
-def gibbs_mean_checked(f: Callable, spec: QuadratureSpec, tol: float = 1e-6) -> Array:
-    """gibbs_mean with a grid-refinement self-check at 2m - 1 points."""
-    coarse = gibbs_mean(f, spec)
-    fine_spec = QuadratureSpec(spec.domain, 2 * spec.grid_points - 1, spec.alpha)
-    fine = gibbs_mean(f, fine_spec)
-    if np.max(np.abs(coarse - fine)) > tol:
-        raise QuadratureError(
-            f"grid refinement moved the result by more than {tol}; "
-            "increase grid_points"
-        )
-    return fine
 
 
 def laplace_gap(

@@ -316,6 +316,30 @@ def test_bench_over_large_integer_is_usage_error(tmp_path, capsys, key, value, m
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key,value,trials", [
+    ("q0_center", "[1.0e+300, 1.0e+300]", 2), ("q0_center", "[1.0e+153, 1.0e+153]", 100),
+    ("q0_variance", "1.0e+300", 2), ("sigma2", "1.0e+154", 2),
+])
+def test_bench_q0_whose_draws_overflow_is_usage_error(tmp_path, capsys, key, value, trials):
+    # At a center of 1e300 the squared errors overflow; at 1e153, their sum
+    # over 100 trials does; at a variance of 1e300 (or an adapted one of
+    # 1e154), their squared deviations from the mean do.
+    fields = {"objective": "sphere", "dimension": "2", "budget": "400", "seed": "1",
+              "methods": "[liso, random_search, adaptive_liso]", "alpha0": "1.0",
+              "q0_center": "[0.0, 0.0]", "q0_variance": "1.0", "trials": trials, key: value}
+    config = tmp_path / "exp.yaml"
+    config.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                               "--csv-out", str(tmp_path / "r.csv"),
+                               "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 2 and not caught
+    assert f"{key} is too large: its draws' squared norms reach" in err, err
+    assert "derived seed" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [("checkpoint_start", 0), ("checkpoint_count", -3)])
 def test_bench_nonpositive_checkpoint_field_is_usage_error(tmp_path, capsys, key, value):
     config = tmp_path / "exp.yaml"

@@ -187,6 +187,27 @@ def test_bootstrap_stderr_scales_down_with_sample_size():
     assert ses[1] < ses[0] / 3
 
 
+def test_bootstrap_checks_once_and_keeps_the_bits_of_one_average_per_resample():
+    rng = make_rng(4)
+    pts = rng.standard_normal((500, 3))
+    lw = laplace_log_weights(2.0, np.sum(pts * pts, axis=1), np.zeros(500))
+    lw[::7] = -np.inf
+    draws = make_rng(11)
+    old = [self_normalized_average(pts[idx], lw[idx])
+           for idx in (draws.integers(0, 500, size=500) for _ in range(50))]
+    got = bootstrap_stderr(pts, lw, make_rng(11), resamples=50)
+    assert got.tobytes() == np.std(old, axis=0, ddof=1).tobytes()
+    # A bad input raises before the first resample draws from the generator.
+    bad_lw, bad_pts = lw.copy(), pts.copy()
+    bad_lw[499], bad_pts[499, 1] = np.nan, np.inf
+    for args, match in (((pts, bad_lw), "log-weights must be finite or -inf"),
+                        ((bad_pts, lw), "points must be a nonempty")):
+        draws = make_rng(11)
+        with pytest.raises(ValueError, match=match):
+            bootstrap_stderr(*args, draws, resamples=50)
+        assert draws.bit_generator.state == make_rng(11).bit_generator.state
+
+
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 _LISO_PROBE = (

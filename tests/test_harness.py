@@ -412,13 +412,12 @@ def test_shared_draw_matches_separate_runs():
             assert errors[method].tobytes() == trace.squared_errors.tobytes()
 
 
-def test_a_static_trial_allocates_its_record_and_no_n_by_d_temporary():
-    # A sphere_static_d4 trial (1e5 points, d = 4) keeps a 6.4 MB record: the
-    # points, their values and log-densities, and two re-weighting buffers.
-    # One more (n, d) float array would add 3.2 MB; an (n,) vector adds 0.8 MB.
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "sphere_static_d4.yaml")
+def _trial_peak(name, budget):
+    """tracemalloc's peak, in bytes, of the second trial of a shipped d = 4
+    config of ``budget`` points."""
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.yaml")
     spec = ExperimentSpec.from_yaml(config)
-    assert (spec.budget, spec.dimension) == (100_000, 4)
+    assert (spec.budget, spec.dimension) == (budget, 4)
     _run_trial(spec, 0)  # caches filled on first use are not the trial's
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -426,11 +425,27 @@ def test_a_static_trial_allocates_its_record_and_no_n_by_d_temporary():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         _run_trial(spec, 1)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 8.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_a_static_trial_allocates_its_record_and_no_n_by_d_temporary():
+    # A sphere_static_d4 trial (1e5 points, d = 4) keeps a 5.6 MB record: the
+    # points, their values and log-densities, and one re-weighting buffer,
+    # allocated after the log-densities' column scratch is freed.  One more
+    # (n, d) float array would add 3.2 MB; an (n,) vector adds 0.8 MB.
+    peak = _trial_peak("sphere_static_d4", 100_000)
+    assert peak < 6.0e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_an_adaptive_trial_allocates_its_record_and_no_second_weight_buffer():
+    # A sphere_adaptive_d4 run (9e4 points, d = 4) keeps a 5.04 MB record: the
+    # points, values, log-densities and one re-weighting buffer.  One more
+    # (n,) vector would add 0.72 MB.
+    peak = _trial_peak("sphere_adaptive_d4", 90_000)
+    assert peak < 5.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 _NUMPY_MA_PROBE = """

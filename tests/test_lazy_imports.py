@@ -66,7 +66,7 @@ def test_every_public_name_resolves_and_is_listed():
         from lisopt import *
     """
     assert loaded_after(code, ()) == "[]"
-    assert len(lisopt.__all__) == len(set(lisopt.__all__)) == 47
+    assert len(lisopt.__all__) == len(set(lisopt.__all__)) == 45
     assert set(lisopt.__all__) <= set(dir(lisopt))
     assert lisopt.__version__ == "0.1.0"
 

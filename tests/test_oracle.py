@@ -10,8 +10,6 @@ from lisopt import (
     QuadratureSpec,
     cubic_perturbed_quadratic,
     gibbs_mean,
-    gibbs_mean_checked,
-    gibbs_normalizer,
     laplace_gap,
     laplace_log_weights,
     make_rng,
@@ -45,28 +43,6 @@ def test_spec_validation():
         QuadratureSpec(domain=((0.0, math.inf),))
 
 
-def test_normalizer_constant_integrand():
-    z, shift = gibbs_normalizer(lambda x: 0.0, QuadratureSpec(((0.0, 1.0),), 101, 3.7))
-    assert z == pytest.approx(1.0, abs=1e-12)
-    assert shift == 0.0
-
-
-def test_normalizer_gaussian_integral():
-    spec = QuadratureSpec(((-8.0, 8.0),), 1601, 1.0)
-    z, shift = gibbs_normalizer(quadratic, spec)
-    assert z == pytest.approx(math.sqrt(math.pi), abs=1e-6)
-    assert shift == pytest.approx(0.0, abs=1e-12)
-    # grid-doubling self check
-    z2, _ = gibbs_normalizer(quadratic, QuadratureSpec(((-8.0, 8.0),), 3201, 1.0))
-    assert abs(z - z2) < 1e-8
-
-
-def test_normalizer_2d():
-    spec = QuadratureSpec(((-8.0, 8.0), (-8.0, 8.0)), 401, 1.0)
-    z, _ = gibbs_normalizer(quadratic, spec)
-    assert z == pytest.approx(math.pi, abs=1e-6)
-
-
 def test_mean_symmetric_cases():
     c = 1.3
     spec = QuadratureSpec(((c - 6.0, c + 6.0),), 1601, 2.0)
@@ -76,6 +52,14 @@ def test_mean_symmetric_cases():
     spec = QuadratureSpec(((-6.0, 6.0),), 1601, 1.0)
     mean = gibbs_mean(lambda x: float(x[0]) ** 2 + float(x[0]) ** 4, spec)
     assert mean[0] == pytest.approx(0.0, abs=1e-8)
+
+    # 2-d, on a box off-centre around the minimizer, so the grid is not
+    # symmetric about it and only the quadrature's accuracy gives the centre.
+    c = np.array([1.3, -0.7])
+    f = Objective(2, lambda P: (P[:, 0] - c[0]) ** 2 + 2 * (P[:, 1] - c[1]) ** 2
+                  + (P[:, 1] - c[1]) ** 4)
+    spec = QuadratureSpec(((c[0] - 5.0, c[0] + 7.0), (c[1] - 6.5, c[1] + 5.5)), 401, 2.0)
+    assert np.allclose(gibbs_mean(f, spec), c, rtol=0, atol=1e-10)
 
 
 def test_mean_regression_constant_cubic_on_wide_box():
@@ -123,18 +107,7 @@ def test_mean_shift_invariance():
 
 def test_nonfinite_objective_rejected():
     with pytest.raises(QuadratureError):
-        gibbs_normalizer(lambda x: float("nan"), QuadratureSpec(((0.0, 1.0),), 11, 1.0))
-
-
-def test_grid_refinement_check():
-    spec = QuadratureSpec(CUBIC_DOMAIN, 801, 8.0)
-    mean = gibbs_mean_checked(cubic_perturbed_quadratic, spec)
-    assert mean[0] == pytest.approx(-0.019317247, abs=1e-6)
-    # A 5-point grid misses an off-grid minimum: refinement moves the result.
-    with pytest.raises(QuadratureError):
-        gibbs_mean_checked(
-            lambda x: (float(x[0]) - 0.4) ** 2, QuadratureSpec(CUBIC_DOMAIN, 5, 50.0)
-        )
+        gibbs_mean(lambda x: float("nan"), QuadratureSpec(((0.0, 1.0),), 11, 1.0))
 
 
 def test_laplace_gap_quadratic_is_exactly_centered():
