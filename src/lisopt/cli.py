@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .distributions import IsotropicGaussian
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -29,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .objectives import benchmark, benchmark_names, external_objective, format_float
-from .optimizers import METHODS, AdaptiveConfig
+from .optimizers import METHODS
 from .oracle import (
     CUBIC_DOMAIN,
     QuadratureSpec,
@@ -58,23 +57,19 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
 
 
 def _cmd_optimize(args) -> int:
-    d = args.d
-    if d < 1:
-        raise ConfigError(f"--d must be >= 1, got {d}")
-    center = _parse_floats(args.q0_center, "--q0-center") if args.q0_center else np.zeros(d)
-    if center.size != d:
-        raise ConfigError("q0-center length must equal --d")
-    q0 = IsotropicGaussian(mean=center, variance=args.q0_var)
-    config = AdaptiveConfig(
-        budget=args.n, alpha0=args.alpha0, q0=q0, seed=args.seed, sigma2=args.sigma2,
-        mixture_weight=args.mixture_weight, batch_size=args.batch_size,
-    )
+    """One trial of a one-method spec, which checks every flag, run with ``--seed`` as its seed."""
+    center = _parse_floats(args.q0_center, "--q0-center") if args.q0_center else np.zeros(max(args.d, 0))
+    spec = ExperimentSpec(
+        objective=args.fn, dimension=args.d, methods=(args.method,), budget=args.n, seed=args.seed,
+        alpha0=args.alpha0, q0_center=center.tolist(), q0_variance=args.q0_var, trials=1,
+        batch_size=args.batch_size, mixture_weight=args.mixture_weight, sigma2=args.sigma2)
+    config = dataclasses.replace(spec.config, seed=args.seed)
     driver, _ = METHODS[args.method]
     if args.external:
-        with external_objective(args.external, d) as objective:
+        with external_objective(args.external, args.d) as objective:
             estimate, _ = driver(objective, config)
     else:
-        objective = benchmark(args.fn, d)
+        objective = benchmark(args.fn, args.d)
         estimate, _ = driver(objective, config)
     print("estimate:", " ".join(format_float(v) for v in estimate))
     if not args.external:

@@ -68,9 +68,13 @@ def _log_weights_into(out: Array, alpha: float, shifted: Array, logq: Array) -> 
     """out = shifted * -alpha - logq, in place; returns ``out``.
 
     ``shifted`` holds ``values - ref`` for a finite ``ref`` and may be ``out``
-    itself.  A +inf value maps to a -inf log-weight.
+    itself.  A +inf value maps to a -inf log-weight.  ``shifted >= 0`` and
+    ``alpha > 0``, so a product that overflows is -inf, whose weight is
+    exactly 0 after the max shift, as the product's own would be; the
+    reference point's 0 keeps some weight finite.
     """
-    np.multiply(shifted, -alpha, out=out)
+    with np.errstate(over="ignore"):
+        np.multiply(shifted, -alpha, out=out)
     out -= logq
     return out
 
@@ -313,8 +317,11 @@ def bootstrap_stderr(
 
     Resamples the (point, log-weight) pairs with replacement and recomputes
     the estimator per resample, with the bits of ``self_normalized_average``.
-    The inputs are checked once, before the first resample draws from ``rng``.
+    The inputs are checked once, before the first resample draws from ``rng``,
+    and so is ``resamples``: a standard error needs at least two.
     """
+    if resamples < 2:
+        raise ValueError(f"resamples must be >= 2, got {resamples}")
     points, lw = _checked_pairs(points, log_weights)
     n = len(points)
     estimates = np.empty((resamples, points.shape[1]))

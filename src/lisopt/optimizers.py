@@ -366,6 +366,8 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     never writes to: only the q0 log-densities are added.
     """
     d = objective.dimension
+    if config.q0.dimension != d:
+        raise ValueError(f"q0 has dimension {config.q0.dimension} but the objective has dimension {d}")
     n = config.budget
     B = config.batch_size
     box = config.projection_box

@@ -140,9 +140,13 @@ def cubic_perturbed_quadratic(x) -> float:
 
     On [-3, 3] its unique minimum is 0 at the origin, making it the standard
     test case for the 1/alpha concentration law (a pure quadratic has zero
-    gap and cannot exercise it).
+    gap and cannot exercise it).  ``x`` is that one coordinate: a number or
+    an array of one element.
     """
-    v = float(np.atleast_1d(x)[0])
+    x = np.asarray(x, dtype=float)
+    if x.size != 1:
+        raise ValueError(f"cubic_perturbed_quadratic takes one coordinate, got shape {x.shape}")
+    v = x.item()
     return v * v + 0.2 * v**3
 
 

@@ -13,20 +13,15 @@ AVX512_SPR"``).
 """
 
 import hashlib
-import platform
-import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from lisopt import ExperimentSpec
 from lisopt.cli import main
+from test_golden_traces import RECORDED_ON, RECORDED_ON_X86_V3, _fingerprint
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-RECORDED_ON = "x86_64 python3.11 numpy2.4.6 simd:X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
-RECORDED_ON_X86_V3 = "x86_64 python3.11 numpy2.4.6 simd:X86_V3"
 
 # config -> budget of the cut-down spec
 BUDGETS = {"sphere_static_d4": 20000, "sphere_adaptive_d4": 9000}
@@ -43,12 +38,6 @@ DIGESTS_X86_V3 = {
 }
 
 TABLES = {RECORDED_ON: DIGESTS, RECORDED_ON_X86_V3: DIGESTS_X86_V3}
-
-
-def _fingerprint():
-    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", [])
-    return (f"{platform.machine()} python{sys.version_info[0]}.{sys.version_info[1]} "
-            f"numpy{np.__version__} simd:{','.join(simd)}")
 
 
 def bench_digest(name, workers, workdir, monkeypatch):

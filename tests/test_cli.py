@@ -8,8 +8,10 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from lisopt import ExperimentSpec, parse_csv
+from lisopt import AdaptiveConfig, ExperimentSpec, IsotropicGaussian, benchmark, parse_csv
 from lisopt.cli import main
+from lisopt.objectives import format_float
+from lisopt.optimizers import METHODS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -87,22 +89,42 @@ def test_optimize_static_method_checks_every_config_field(capsys):
 def test_optimize_zero_dimension_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "optimize", "--d", "0", "--method", "liso", "--n", "100")
     assert code == 2
-    assert "--d must be >= 1" in err
+    assert "dimension must be >= 1" in err
 
 
 @pytest.mark.parametrize("flag,value,method,message", [
-    pytest.param("--alpha0", "inf", "liso", "alpha0 must be positive and finite", id="--alpha0"),
-    pytest.param("--sigma2", "inf", "liso", "sigma2 must be positive and finite", id="--sigma2"),
+    pytest.param("--alpha0", "inf", "liso", "alpha0 must be finite, got inf", id="--alpha0"),
+    pytest.param("--sigma2", "inf", "liso", "sigma2 must be finite, got inf", id="--sigma2"),
     # A finite alpha0 whose temperature at the budget overflows.
     pytest.param("--alpha0", "1e308", "liso", "alpha0 is too large", id="--alpha0-overflow-liso"),
     pytest.param("--alpha0", "1e308", "adaptive_liso", "alpha0 is too large",
                  id="--alpha0-overflow-adaptive_liso"),
+    # Finite flags that the spec refuses: squared errors that overflow, and
+    # a budget beyond int64.  The suite turns a RuntimeWarning into an error.
+    pytest.param("--q0-center", "1e300,1e300", "liso", "q0_center is too large",
+                 id="--q0-center-overflow"),
+    pytest.param("--n", "99999999999999999999", "liso", "budget must be at most 2**63 - 1",
+                 id="--n-beyond-int64"),
 ])
 def test_optimize_non_finite_number_is_usage_error(capsys, flag, value, method, message):
     code, out, err = run_cli(capsys, "optimize", "--d", "2", "--method", method,
                              "--n", "400", flag, value)
     assert code == 2
     assert message in err and not out
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_optimize_prints_the_driver_run_of_its_flags(capsys, method):
+    code, out, _ = run_cli(capsys, "optimize", "--fn", "ackley", "--d", "3", "--method", method,
+                           "--n", "2000", "--seed", "7", "--q0-center=1,-0.5,2", "--q0-var", "2",
+                           "--alpha0", "1.5", "--mixture-weight", "0.3", "--batch-size", "100")
+    objective = benchmark("ackley", 3)
+    config = AdaptiveConfig(budget=2000, alpha0=1.5, q0=IsotropicGaussian([1.0, -0.5, 2.0], 2.0),
+                            seed=7, mixture_weight=0.3, batch_size=100)
+    estimate, _ = METHODS[method][0](objective, config)
+    assert code == 0
+    assert out == (f"estimate: {' '.join(format_float(v) for v in estimate)}\n"
+                   f"objective value: {format_float(objective(estimate))}\n")
 
 
 def pid_recording_child(pid_file):
@@ -368,6 +390,28 @@ def test_bench_svg_title_is_escaped(tmp_path, capsys, monkeypatch):
     assert code == 0
     title = minidom.parse(str(svg_path)).getElementsByTagName("text")[0]
     assert title.firstChild.data == "a < b & c > d"
+
+
+def test_bench_at_a_temperature_whose_products_overflow(tmp_path, capsys, monkeypatch):
+    # alpha0 1e306 passes the temperature check, but alpha times a shifted
+    # value overflows: that log-weight is -inf, the weight exactly 0 that the
+    # unoverflowed product gives too, so the softmin picks the best point.
+    monkeypatch.setenv("LISOPT_WORKERS", "1")  # a warning in a pool worker is not caught here
+    methods = "[liso, random_search, adaptive_liso, adaptive_random_search]"
+    fields = {"objective": "sphere", "dimension": "2", "methods": methods, "budget": "400",
+              "seed": "1", "alpha0": "1.0e+306", "q0_center": "[0.5, 0.5]", "q0_variance": "1.0",
+              "trials": "2"}
+    config = tmp_path / "exp.yaml"
+    config.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+    csv = tmp_path / "r.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "bench", "--config", str(config),
+                               "--csv-out", str(csv), "--svg-out", str(tmp_path / "r.svg"))
+    assert code == 0 and not caught, err
+    report = parse_csv(str(csv))
+    assert report.methods["liso"] == report.methods["random_search"]
+    assert report.methods["adaptive_liso"] == report.methods["adaptive_random_search"]
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -197,14 +197,17 @@ def test_bootstrap_checks_once_and_keeps_the_bits_of_one_average_per_resample():
            for idx in (draws.integers(0, 500, size=500) for _ in range(50))]
     got = bootstrap_stderr(pts, lw, make_rng(11), resamples=50)
     assert got.tobytes() == np.std(old, axis=0, ddof=1).tobytes()
-    # A bad input raises before the first resample draws from the generator.
+    # A bad input raises before the first resample draws from the generator;
+    # one resample has no standard deviation.
     bad_lw, bad_pts = lw.copy(), pts.copy()
     bad_lw[499], bad_pts[499, 1] = np.nan, np.inf
-    for args, match in (((pts, bad_lw), "log-weights must be finite or -inf"),
-                        ((bad_pts, lw), "points must be a nonempty")):
+    for args, resamples, match in (((pts, bad_lw), 50, "log-weights must be finite or -inf"),
+                                   ((bad_pts, lw), 50, "points must be a nonempty"),
+                                   ((pts, lw), 1, "^resamples must be >= 2, got 1$"),
+                                   ((pts, lw), 0, "^resamples must be >= 2, got 0$")):
         draws = make_rng(11)
         with pytest.raises(ValueError, match=match):
-            bootstrap_stderr(*args, draws, resamples=50)
+            bootstrap_stderr(*args, draws, resamples=resamples)
         assert draws.bit_generator.state == make_rng(11).bit_generator.state
 
 

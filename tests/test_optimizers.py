@@ -216,6 +216,21 @@ def test_static_drivers_check_a_given_sample(driver, points, values, message):
     assert obj.eval_count == 0
 
 
+@pytest.mark.parametrize("driver,sample", [
+    *((driver, None) for driver in (run_liso, run_random_search, run_adaptive_liso,
+                                    run_adaptive_random_search, run_isotropic_es)),
+    *((driver, (np.zeros((40, 3)), np.zeros(40))) for driver in (run_liso, run_random_search)),
+])
+def test_drivers_refuse_a_q0_of_another_dimension(driver, sample):
+    obj = benchmark("sphere", 3)
+    cfg = AdaptiveConfig(budget=40, alpha0=1.0, q0=IsotropicGaussian(np.zeros(2), 1.0), seed=1,
+                         batch_size=10)
+    kwargs = {} if sample is None else {"sample": sample}
+    with pytest.raises(ValueError, match="^q0 has dimension 2 but the objective has dimension 3$"):
+        driver(obj, cfg, **kwargs)
+    assert obj.eval_count == 0
+
+
 # ----------------------------------------------------------------------
 # Adaptive drivers
 # ----------------------------------------------------------------------

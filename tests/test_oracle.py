@@ -24,6 +24,15 @@ def test_gibbs_mean_at_a_huge_temperature_is_the_grid_minimizer():
     assert np.array_equal(mean, [0.0])
 
 
+def test_cubic_takes_exactly_one_coordinate():
+    assert cubic_perturbed_quadratic(np.array([2.0])) == cubic_perturbed_quadratic(2.0) == 5.6
+    with pytest.raises(ValueError, match=r"one coordinate, got shape \(2,\)"):
+        cubic_perturbed_quadratic([1.0, 5.0])
+    # A 2-d box hands it two coordinates per node: an error, not a mean of the first.
+    with pytest.raises(ValueError, match=r"one coordinate, got shape \(2,\)"):
+        gibbs_mean(cubic_perturbed_quadratic, QuadratureSpec(((-3, 3), (-3, 3)), 41, 4.0))
+
+
 def quadratic(x):
     return float(np.sum(np.asarray(x) ** 2))
 
