@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .harness import METHODS as _DRIVERS
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -28,7 +29,6 @@ from .harness import (
     run_experiment,
 )
 from .objectives import benchmark, benchmark_names, external_objective, format_float
-from .optimizers import METHODS
 from .oracle import (
     CUBIC_DOMAIN,
     QuadratureSpec,
@@ -36,9 +36,6 @@ from .oracle import (
     gibbs_mean,
     laplace_gap,
 )
-
-# The method registry itself; perfbench/tracing.py wraps its drivers under this name.
-_DRIVERS = METHODS
 
 _ORACLE_FUNCTIONS = {
     "quad-cubic": (cubic_perturbed_quadratic, CUBIC_DOMAIN, np.zeros(1)),
@@ -64,7 +61,7 @@ def _cmd_optimize(args) -> int:
         alpha0=args.alpha0, q0_center=center.tolist(), q0_variance=args.q0_var, trials=1,
         batch_size=args.batch_size, mixture_weight=args.mixture_weight, sigma2=args.sigma2)
     config = dataclasses.replace(spec.config, seed=args.seed)
-    driver, _ = METHODS[args.method]
+    driver, _ = _DRIVERS[args.method]
     if args.external:
         with external_objective(args.external, args.d) as objective:
             estimate, _ = driver(objective, config)
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external", metavar="COMMAND",
                    help="shell command for an external line-protocol objective")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--method", choices=tuple(METHODS), required=True)
+    p.add_argument("--method", choices=tuple(_DRIVERS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha0", type=float, default=1.0)

@@ -64,19 +64,19 @@ class DegenerateWeightsError(ValueError):
     """Every log-weight is -inf; the caller decides the fallback."""
 
 
-def _log_weights_into(out: Array, alpha: float, shifted: Array, logq: Array) -> Array:
-    """out = shifted * -alpha - logq, in place; returns ``out``.
+def _log_weights_into(shifted: Array, alpha: float, logq: Array) -> Array:
+    """shifted = shifted * -alpha - logq, in place; returns ``shifted``.
 
-    ``shifted`` holds ``values - ref`` for a finite ``ref`` and may be ``out``
-    itself.  A +inf value maps to a -inf log-weight.  ``shifted >= 0`` and
-    ``alpha > 0``, so a product that overflows is -inf, whose weight is
-    exactly 0 after the max shift, as the product's own would be; the
-    reference point's 0 keeps some weight finite.
+    ``shifted`` holds ``values - ref`` for a finite ``ref``.  A +inf value
+    maps to a -inf log-weight.  ``shifted >= 0`` and ``alpha > 0``, so a
+    product that overflows is -inf, whose weight is exactly 0 after the max
+    shift, as the product's own would be; the reference point's 0 keeps some
+    weight finite.
     """
     with np.errstate(over="ignore"):
-        np.multiply(shifted, -alpha, out=out)
-    out -= logq
-    return out
+        np.multiply(shifted, -alpha, out=shifted)
+    shifted -= logq
+    return shifted
 
 
 def _normalize_into(w: Array) -> Array:
@@ -260,8 +260,7 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
     ref = values.min() if values.size else np.inf
     if ref == np.inf:
         return np.full(values.shape, -np.inf)
-    shifted = values - ref
-    return _log_weights_into(shifted, alpha, shifted, logq)
+    return _log_weights_into(values - ref, alpha, logq)
 
 
 def _checked_log_weights(log_weights) -> Array:

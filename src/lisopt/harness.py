@@ -8,11 +8,12 @@ byte-deterministic.  A spec checks its fields and builds the one
 ``AdaptiveConfig`` (q0, the checkpoint grid, the driver settings) that each
 trial copies with its own seed.
 
-One task runs one trial: every method of the spec, with the trial's derived
-seed.  The static methods (``liso``, ``random_search``) post-process one
-shared draw from q0, so a trial samples, evaluates and weights that draw
-once.  Each adaptive method makes its own run.  Each method still accounts
-for ``budget`` evaluations, and the trial's one objective checks the count.
+``METHODS`` maps each method name to its driver; specs, trials and ``cli``
+read it.  One task runs one trial: every method of the spec, with the trial's
+derived seed.  The static methods (``SHARED_DRAW``) post-process one shared
+draw from q0, so a trial samples, evaluates and weights that draw once.  Each
+adaptive method makes its own run.  Each method still accounts for ``budget``
+evaluations, and the trial's one objective checks the count.
 
 Trials may execute in parallel; the worker count comes from the
 ``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
@@ -42,19 +43,21 @@ import numpy as np
 
 from .distributions import IsotropicGaussian, _equal_by_value, derive_seed
 from .objectives import Objective, benchmark, benchmark_names, format_float
-from .optimizers import METHODS, SHARED_DRAW, AdaptiveConfig, _draw_q0, default_checkpoints
-# perfbench/tracing.py times the drivers by patching these names on this module.
-from .optimizers import (  # noqa: F401
-    run_adaptive_liso,
-    run_adaptive_random_search,
-    run_isotropic_es,
-    run_liso,
-    run_random_search,
-)
+from .optimizers import (AdaptiveConfig, _draw_q0, default_checkpoints, run_adaptive_liso,
+                         run_adaptive_random_search, run_isotropic_es, run_liso, run_random_search)
 
 Array = np.ndarray
 
 CSV_HEADER = "method,n_evals,mean_mse,std,ci_half_width,trials"
+
+# Method name -> (driver, smallest batch_size it accepts).
+METHODS = {
+    "liso": (run_liso, 1),
+    "random_search": (run_random_search, 1),
+    "adaptive_liso": (run_adaptive_liso, 1),
+    "adaptive_random_search": (run_adaptive_random_search, 1),
+    "isotropic_es": (run_isotropic_es, 2),
+}
 
 
 class ConfigError(ValueError):
@@ -251,6 +254,11 @@ class ExperimentReport:
 
 def _build_objective(spec: ExperimentSpec) -> Objective:
     return benchmark(spec.objective, spec.dimension)
+
+
+# The static methods: each post-processes one draw from q0, which a trial
+# running several of them draws once and passes as ``sample``.
+SHARED_DRAW = ("liso", "random_search")
 
 
 def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
@@ -462,13 +470,16 @@ def parse_csv(path: str) -> ExperimentReport:
     for line in lines[1:]:
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        method, n, mean, std, ci, trials = parts
-        rows.setdefault(method, []).append(
-            (int(n), float(mean), float(std), float(ci), int(trials))
-        )
+        try:  # six fields, each of its type
+            method, n, mean, std, ci, trials = line.split(",")
+            row = (int(n), float(mean), float(std), float(ci), int(trials))
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {line!r}") from None
+        entries = rows.setdefault(method, [])
+        if entries and row[4] != entries[0][4]:
+            raise ValueError(f"{path}: malformed row {line!r}: "
+                             f"the first row of {method} has {entries[0][4]} trials")
+        entries.append(row)
     methods = {}
     for method, entries in rows.items():
         entries.sort(key=lambda e: e[0])

@@ -207,6 +207,8 @@ class ExternalObjective(Objective):
         import shlex
         import subprocess
 
+        # The base class checks the dimension, so a bad one raises before any child exists.
+        super().__init__(dimension, self._batch_roundtrip, name="external")
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
             self._proc = subprocess.Popen(
@@ -218,7 +220,6 @@ class ExternalObjective(Objective):
             )
         except OSError as exc:
             raise EvaluationError(f"failed to spawn {argv!r}: {exc}") from exc
-        super().__init__(dimension, self._batch_roundtrip, name="external")
 
     def _write(self, payload: str, failures: list) -> None:
         try:

@@ -14,7 +14,7 @@ isotropic ES) and in the batch size: a static run, ``run_liso`` or
 points from q0, which a caller may pass in already evaluated.  The softmin
 step is public as ``liso_from_sample``, which shares the checkpoint loop.
 Every driver takes the one config class, ``AdaptiveConfig`` (``StaticConfig``
-is another name for it), and ``METHODS`` maps each method name to its driver.
+is another name for it); ``harness`` names the methods and runs them.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class _SoftminPrefixes:
         alpha = self.fixed_alpha
         if alpha is None:
             alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
-        p = _normalize_into(_log_weights_into(w, alpha, w, self.logq[:c]))
+        p = _normalize_into(_log_weights_into(w, alpha, self.logq[:c]))
         return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
 
 
@@ -473,17 +473,3 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
     # A mixture of weight 0 draws the adapted Gaussian's own stream.
     config = dataclasses.replace(config, mixture_weight=0.0, projection_box=None)
     return _run_adaptive(objective, config, _RecombinePrefixes, config.batch_size)
-
-
-# Method name -> (driver, smallest batch_size it accepts).
-METHODS = {
-    "liso": (run_liso, 1),
-    "random_search": (run_random_search, 1),
-    "adaptive_liso": (run_adaptive_liso, 1),
-    "adaptive_random_search": (run_adaptive_random_search, 1),
-    "isotropic_es": (run_isotropic_es, 2),
-}
-
-# The static methods: each post-processes one draw from q0, which a caller
-# running several of them on one config may draw once and pass as ``sample``.
-SHARED_DRAW = ("liso", "random_search")

@@ -114,13 +114,16 @@ def laplace_gap(
     alphas: Sequence[float],
     grid_points: int = 1601,
 ) -> Array:
-    """|| tempered mean - minimizer || for each temperature in ``alphas``.
+    """|| tempered mean - minimizer || for each temperature in ``alphas``;
+    ``minimizer`` has one coordinate per side of ``domain`` (a number in 1-d).
 
     For smooth objectives with a generic third derivative at the minimizer
     the gap decays like 1/alpha; for a pure quadratic it is exactly zero
     (the tempered measure is a centered Gaussian).
     """
     minimizer = np.atleast_1d(np.asarray(minimizer, dtype=float))
+    if minimizer.shape != (len(domain),):
+        raise ValueError(f"minimizer has shape {minimizer.shape} but the box has shape ({len(domain)},)")
     alphas = list(alphas)
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")

@@ -11,7 +11,7 @@ import pytest
 from lisopt import AdaptiveConfig, ExperimentSpec, IsotropicGaussian, benchmark, parse_csv
 from lisopt.cli import main
 from lisopt.objectives import format_float
-from lisopt.optimizers import METHODS
+from lisopt.harness import METHODS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -527,6 +527,20 @@ def test_slope_refuses_a_non_finite_mean(tmp_path, capsys):
         code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m")
     assert code == 2 and not out and not caught
     assert "mean MSE must be positive and finite throughout the fit range" in err
+
+
+@pytest.mark.parametrize("field, value", [("mean_mse", "x"), ("n_evals", "1.5"), ("trials", "4")])
+def test_slope_names_the_file_and_row_of_a_malformed_row(tmp_path, capsys, field, value):
+    path = tmp_path / "r.csv"
+    synthetic_csv(str(path))
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[lines[0].split(",").index(field)] = value
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m")
+    assert code == 2 and not out
+    assert f"error: {path}: malformed row {lines[3]!r}" in err
 
 
 def test_slope_unknown_method_is_usage_error(tmp_path, capsys):

@@ -523,7 +523,7 @@ def test_native_lookups_find_nothing_elsewhere(monkeypatch):
 ])
 def test_abort_names_the_method_trial_and_seed(monkeypatch, method, workers):
     monkeypatch.setenv("LISOPT_WORKERS", workers)
-    monkeypatch.setitem(optimizers.METHODS, method, (_failing_driver, 1))
+    monkeypatch.setitem(harness.METHODS, method, (_failing_driver, 1))
     with pytest.raises(RuntimeError) as info:
         run_experiment(small_spec(methods=["liso", method]))
     assert str(info.value) == (
@@ -544,7 +544,7 @@ def test_abort_cancels_the_trials_not_yet_started(monkeypatch, tmp_path):
         time.sleep(0.05)
         return optimizers.run_adaptive_liso(objective, config)
 
-    monkeypatch.setitem(optimizers.METHODS, "adaptive_liso", (slow_driver, 1))
+    monkeypatch.setitem(harness.METHODS, "adaptive_liso", (slow_driver, 1))
     with pytest.raises(RuntimeError, match=r"\(trial 0\): boom"):
         run_experiment(small_spec(methods=["adaptive_liso"], trials=40))
     assert len(calls.read_text().splitlines()) < 20
@@ -566,7 +566,7 @@ def test_a_static_method_that_evaluates_breaks_the_budget(monkeypatch):
         objective.evaluate_batch(np.zeros((1, 2)))
         return run_random_search(objective, config, sample=sample)
 
-    monkeypatch.setitem(optimizers.METHODS, "random_search", (evaluating_driver, 1))
+    monkeypatch.setitem(harness.METHODS, "random_search", (evaluating_driver, 1))
     with pytest.raises(RuntimeError, match="in method random_search;.*"
                                            "spent 1 evaluations instead of 0"):
         run_experiment(small_spec())

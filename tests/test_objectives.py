@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 
@@ -188,6 +189,24 @@ def test_external_child_exit_is_an_error():
 def test_external_spawn_failure():
     with pytest.raises(EvaluationError):
         external_objective(["/nonexistent/binary"], 2)
+
+
+def test_external_bad_dimension_spawns_no_child(monkeypatch, tmp_path):
+    spawned, popen = [], subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    marker = tmp_path / "spawned"
+    try:
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            external_objective([sys.executable, "-c", f"open({str(marker)!r}, 'w')"], 0)
+    finally:
+        for proc in spawned:  # reap a child spawned anyway, so the marker check is not a race
+            proc.communicate()
+    assert not spawned and not marker.exists()
 
 
 def finish_within(seconds, fn):

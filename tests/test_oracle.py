@@ -124,6 +124,13 @@ def test_laplace_gap_quadratic_is_exactly_centered():
     assert np.all(gaps < 1e-8)
 
 
+def test_laplace_gap_needs_a_minimizer_of_the_box_dimension():
+    assert laplace_gap(quadratic, 0.0, ((-8.0, 8.0),), [4.0])[0] < 1e-8  # a scalar on a 1-d box
+    sphere2 = Objective(2, lambda p: np.sum(p * p, axis=1))
+    with pytest.raises(ValueError, match=r"minimizer has shape \(1,\) but the box has shape \(2,\)"):
+        laplace_gap(sphere2, np.zeros(1), ((-3.0, 3.0), (-3.0, 3.0)), [4.0], grid_points=41)
+
+
 def test_laplace_gap_cubic_halving_ratios():
     gaps = laplace_gap(
         cubic_perturbed_quadratic, [0.0], CUBIC_DOMAIN, [8.0, 16.0, 32.0, 64.0]

@@ -6,8 +6,8 @@ look up, and puts the originals back on ``uninstall``.  These tests install
 it against this tree, imported through ``sys.path`` as ``perfbench/run.py``
 does, so that a refactor which drops or reshapes a patched name (a driver
 import in ``harness``, ``cli._DRIVERS``, the ``(driver, least_batch)``
-entries of ``METHODS``) fails here rather than breaking a traced benchmark
-run.
+entries of ``harness.METHODS``, the one registry that ``cli._DRIVERS``
+names) fails here rather than breaking a traced benchmark run.
 """
 
 import importlib
@@ -43,7 +43,7 @@ def tracing(monkeypatch):
 def _namespaces():
     return (cli, distributions, estimators, harness, objectives, optimizers, oracle,
             distributions.IsotropicGaussian, distributions.MixturePolicy,
-            objectives.Objective, harness.ExperimentSpec, optimizers.METHODS)
+            objectives.Objective, harness.ExperimentSpec, harness.METHODS)
 
 
 def _snapshot():
@@ -57,15 +57,15 @@ def _same_objects(a, b):
 
 def test_tracer_wraps_the_drivers_and_restores_every_name(tracing):
     before = _snapshot()
-    originals = {m: driver for m, (driver, _) in optimizers.METHODS.items()}
+    originals = {m: driver for m, (driver, _) in harness.METHODS.items()}
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert not _same_objects(_snapshot(), before)
         for name in DRIVER_NAMES:
             assert getattr(harness, name).__wrapped__ is getattr(optimizers, name)
-        assert cli._DRIVERS is optimizers.METHODS
-        for method, (driver, least) in optimizers.METHODS.items():
+        assert cli._DRIVERS is harness.METHODS
+        for method, (driver, least) in harness.METHODS.items():
             assert driver.__wrapped__ is originals[method]
             assert least == (2 if method == "isotropic_es" else 1)
     finally:
@@ -75,7 +75,7 @@ def test_tracer_wraps_the_drivers_and_restores_every_name(tracing):
 
 def test_traced_experiment_times_every_method(tracing, monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "1")
-    spec = ExperimentSpec(objective="sphere", dimension=2, methods=list(optimizers.METHODS),
+    spec = ExperimentSpec(objective="sphere", dimension=2, methods=list(harness.METHODS),
                           budget=700, seed=3, alpha0=1.0, q0_center=[0.5, 0.5],
                           q0_variance=0.5, trials=2, checkpoint_start=50, checkpoint_count=5)
     untraced = run_experiment(spec)
