@@ -4,18 +4,19 @@ Each digest covers the returned estimate, the per-checkpoint estimates,
 squared errors and ESS, and the degenerate-fallback flag.  The specs put
 checkpoints in the middle of a batch, on a batch boundary and in a final
 partial batch, one of them a batch of one point; one spec's single batch
-covers the whole budget.  They cover mixture weights 0, 0.3 and 1, a projection
-box (on the adaptive drivers, and on all five in one spec), a fixed
-temperature, an objective returning some +inf, and one whose first batch is
-all +inf so that the degenerate fallback runs.  Most specs are 3-dimensional;
-three more cover d = 1, 8 and 12, on both sides of numpy's switch to pairwise
-summation at eight elements per row.
+covers the whole budget, and one weights prefixes longer than the weighted
+sum's block of rows (``estimators._AVERAGE_BLOCK_ROWS``).  They cover
+mixture weights 0, 0.3 and 1, a projection box (on the adaptive drivers, and
+on all five in one spec), a fixed temperature, an objective returning some
++inf, and one whose first batch is all +inf so that the degenerate fallback
+runs.  Most specs are 3-dimensional; three more cover d = 1, 8 and 12, on
+both sides of numpy's switch to pairwise summation at eight elements per row.
 
 Refactors of the weighting arithmetic must leave every digest unchanged.
 The bits depend on numpy's SIMD kernels, so the digests only apply on the
 platforms they were recorded on: an AVX-512 host, and the same host running
 numpy's AVX2 kernels (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR"``), where ``np.exp`` and ``np.log`` round four ``adaptive_liso``
+AVX512_SPR"``), where ``np.exp`` and ``np.log`` round five ``adaptive_liso``
 traces differently.
 """
 
@@ -38,6 +39,7 @@ from lisopt import (
     run_liso,
     run_random_search,
 )
+from lisopt.estimators import _AVERAGE_BLOCK_ROWS
 
 
 def _fingerprint():
@@ -55,6 +57,9 @@ CHECKPOINTS = [1, 50, 300, 323, 450, 600, 777, 1000]
 # Budget 901 ends on a batch of one point, [900, 901).
 FINAL_ONE_CHECKPOINTS = [1, 50, 300, 323, 450, 600, 777, 900, 901]
 BOX = (np.full(3, -0.5), np.full(3, 0.8))
+# Prefixes longer than the weighted sum's block of 1e5 rows, on both sides of
+# it; the adaptive runs' batches of 1e5 end on block boundaries.
+BLOCKED_CHECKPOINTS = [1, 60_000, 100_000, 100_001, 180_000, 250_000]
 
 
 def _sphere_with_inf_region():
@@ -108,6 +113,8 @@ CASES = {
                         {"projection_box": BOX}, {"projection_box": BOX}),
     "envelope_only": (lambda: benchmark("sphere", 3), 1000, CHECKPOINTS,
                       {}, {"mixture_weight": 1.0}),
+    "blocked_sum": (lambda: benchmark("sphere", 3), 250_000, BLOCKED_CHECKPOINTS,
+                    {}, {"batch_size": 100_000, "mixture_weight": 0.3}),
 }
 
 DRIVERS = {
@@ -134,6 +141,11 @@ GOLDEN = {
     "all_inf/isotropic_es": "3cd7b904734d3e804cafbfbef198e877c0880204fb9c9aaf8ada5df6487b0cf7",
     "all_inf/liso": "35a94ccf60065751311d020cfcc8dbbcab1c4083ceef5d6bca49c67c7c69234c",
     "all_inf/random_search": "a76207e1376b235987d33c6329f0e107f1e671c168052a1716451438b4b14944",
+    "blocked_sum/adaptive_liso": "8770b026c5ff2af644c6efea05b36641b054b429827cfb6c6cbb2bacde81f342",
+    "blocked_sum/adaptive_random_search": "39a6ff95a519f7b5a37c581b5a45856294fbbd27b52c46e4529154333eeb5160",
+    "blocked_sum/isotropic_es": "25fed45453df6c6058919c9d9d6ff3306c806a526d2053f78d15ba2294113ce6",
+    "blocked_sum/liso": "3ff93ae8db328c616b3582f1678cd4ab9c89ebe153e347478cc43f58671ec15b",
+    "blocked_sum/random_search": "d07d81a2a4b8c190e611138990a06fd710732a86dc265cef2706afa70e1ba129",
     "box_all_drivers/adaptive_liso": "f7ecec5ed6a5b616c679a3e6cfb548e1b63a94c1a32c70322507116e0c6493b9",
     "box_all_drivers/adaptive_random_search": "52c2a881db261cc90056e3b128eb320b83939940763e071e6392cd418c921d49",
     "box_all_drivers/isotropic_es": "e8efb2c50f2f45c0bbee1633e3a2a07ffd8771fc602ad29b3007cab29d11f958",
@@ -196,9 +208,10 @@ GOLDEN = {
     "sphere_mixture_d8/random_search": "2fb9107a90575465bf07776ae9a1f8f22d2ddad4d330fb0db38f0377f31175c4",
 }
 
-# The AVX2 level's table: the digests above but for these four.
+# The AVX2 level's table: the digests above but for these five.
 GOLDEN_X86_V3 = {
     **GOLDEN,
+    "blocked_sum/adaptive_liso": "fc297d478681b7187e3d6deb764c19afaec89c269d503b8b798d83e1f179310a",
     "ackley_d1/adaptive_liso": "13a627df2948798444334c84a0d680dc8ab1922fff3fa02e1a50435bd80a7bb0",
     "ackley_fixed_alpha/adaptive_liso": "250826006892a14ddad776cd022d532cedbeb9baa0698d8f402e99bc20325a36",
     "default_grid/adaptive_liso": "3df498d7e4d9fa8965914ad75c643481f668fc0b49f445e4547963e5bcfa8475",
@@ -218,7 +231,7 @@ def run_case(case, driver_name):
                               checkpoints=checkpoints, **static_kw)
     else:
         config = AdaptiveConfig(budget=budget, alpha0=1.0, q0=q0, seed=5, sigma2=0.4,
-                                batch_size=300, checkpoints=checkpoints, **adaptive_kw)
+                                checkpoints=checkpoints, **{"batch_size": 300, **adaptive_kw})
     estimate, trace = driver(objective, config)
     assert objective.eval_count == budget
     return estimate, trace
@@ -260,6 +273,10 @@ def test_cases_reach_the_paths_they_pin():
     for adaptive, static in (("adaptive_liso", "liso"), ("adaptive_random_search", "random_search")):
         assert trace_digest(*run_case("envelope_only", adaptive)) == \
             trace_digest(*run_case("envelope_only", static))
+    # The blocked case's weighted sums add more than one block of rows.
+    _, budget, checkpoints, _, adaptive_kw = CASES["blocked_sum"]
+    assert checkpoints[1] < _AVERAGE_BLOCK_ROWS < checkpoints[-2] < budget
+    assert adaptive_kw["batch_size"] == _AVERAGE_BLOCK_ROWS
     # The ES recombines the one point of the last batch on its own.
     _, trace = run_case("final_batch_of_one", "isotropic_es")
     assert not np.array_equal(trace.estimates[-1], trace.estimates[-2])
