@@ -81,8 +81,12 @@ def _cmd_bench(args) -> int:
     csv_path = args.csv_out or spec.csv_out or "report.csv"
     svg_path = args.svg_out or spec.svg_out or "report.svg"
     for path in (csv_path, svg_path):  # before any trial runs
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: its directory does not exist")
+    if os.path.realpath(csv_path) == os.path.realpath(svg_path):
+        raise ConfigError(f"cannot write both the CSV and the SVG to {svg_path}")
     report = run_experiment(spec)
     emit_csv(report, csv_path)
     emit_svg_plot(report, svg_path, title=spec.title)
@@ -172,7 +176,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a runtime failure: an aborted trial, a failed child or write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

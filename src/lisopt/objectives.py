@@ -2,6 +2,9 @@
 
 Every optimizer in this package talks to an :class:`Objective`, which owns
 the evaluation counter so that all methods are compared on identical budgets.
+``Objective.__call__`` is the one evaluation of a single point, a vector of
+its dimension; ``sphere``, ``rastrigin`` and ``ackley`` call it on the suite
+objective of the input's length (dimension 1 for an input of no length).
 """
 
 from __future__ import annotations
@@ -28,16 +31,6 @@ _CHILD_GRACE_S = 5
 
 class EvaluationError(RuntimeError):
     """An objective evaluation failed (bad input, broken child process, ...)."""
-
-
-def _at_point(batch_kernel: Callable[[Array], Array], x) -> float:
-    """A batch kernel's value at the one point x, a vector of finite numbers."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise EvaluationError(f"expected a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError("input vector contains non-finite components")
-    return float(batch_kernel(x[None, :])[0])
 
 
 class Objective:
@@ -76,7 +69,11 @@ class Objective:
         self.eval_count = 0
 
     def __call__(self, x) -> float:
-        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
+        """The value at the one point x, a d-vector; the counter advances by 1."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise EvaluationError(f"expected a vector of length {self.dimension}, got shape {x.shape}")
+        return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, points: Array) -> Array:
         """Evaluate m points at once; the counter advances by m."""
@@ -105,7 +102,7 @@ class Objective:
 
 def sphere(x) -> float:
     """Sum of squares; global minimum 0 at the origin."""
-    return _at_point(_sphere_batch, x)
+    return benchmark("sphere", np.size(x) or 1)(x)
 
 
 def rastrigin(x) -> float:
@@ -116,12 +113,12 @@ def rastrigin(x) -> float:
     x^2 - 10 cos(2 pi x)).  The experiments in this package depend on this
     curvature, so do not "fix" it to the textbook form.
     """
-    return _at_point(_rastrigin_batch, x)
+    return benchmark("rastrigin", np.size(x) or 1)(x)
 
 
 def ackley(x) -> float:
     """Ackley benchmark with a narrow valley around the origin."""
-    return _at_point(_ackley_batch, x)
+    return benchmark("ackley", np.size(x) or 1)(x)
 
 
 def _sphere_batch(points: Array) -> Array:

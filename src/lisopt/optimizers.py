@@ -9,12 +9,13 @@ of evaluation-count checkpoints.
 There is one driver loop, ``_run_adaptive``, for all five methods.  They
 differ only in the prefix estimator it reads at each checkpoint (the softmin
 average, the best point, or the rank recombination of the last batch for the
-isotropic ES) and in the batch size: a static run, ``run_liso`` or
-``run_random_search``, is the loop's one-batch run, one draw of ``budget``
-points from q0, which a caller may pass in already evaluated.  The softmin
-step is public as ``liso_from_sample``, which shares the checkpoint loop.
-Every driver takes the one config class, ``AdaptiveConfig`` (``StaticConfig``
-is another name for it); ``harness`` names the methods and runs them.
+isotropic ES) and in the batch size they pass it: ``budget`` for a static run,
+``run_liso`` or ``run_random_search``, which is thus the loop's one-batch run,
+one draw of ``budget`` points from q0 that a caller may pass in already
+evaluated; ``config.batch_size`` for the others.  The softmin step is public
+as ``liso_from_sample``, which shares the checkpoint loop.  Every driver
+takes the one config class, ``AdaptiveConfig`` (``StaticConfig`` is another
+name for it); ``harness`` names the methods and runs them.
 """
 
 from __future__ import annotations
@@ -344,22 +345,23 @@ def _draw_q0(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, Array
     return points, objective.evaluate_batch(points)
 
 
-def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args,
+def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int, estimator, *args,
                   sample: Optional[Tuple[Array, Array]] = None):
     """The one driver loop, of all five methods.
 
-    Batches of size B are drawn from q_{k-1}; the first batch comes from q0
+    Batches of ``batch_size`` points, the driver's argument (the config's
+    field is not read), are drawn from q_{k-1}; the first batch comes from q0
     itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
     ``estimator(points, values, logq, *args)`` is the method's prefix
     estimator over the run's record; it gives the estimate at each checkpoint
     and, after each batch, the next center.  Every batch, the one batch of a
-    static run (B >= budget) included, is drawn straight into its rows of the
-    record (``sample(..., out)``, the bits of a fresh draw), so no point is
-    copied.  Objective values, and sampling log-densities when the estimator
-    is ``weighted``, are cached once per point and validated when the batch
-    is evaluated; the log-densities are written into the record too
-    (``log_density_batch(..., out)``) and checked there.  A checkpoint that
-    falls on a batch boundary also serves as the next center.
+    static run (``batch_size`` = budget) included, is drawn straight into its
+    rows of the record (``sample(..., out)``, the bits of a fresh draw), so no
+    point is copied.  Objective values, and sampling log-densities when the
+    estimator is ``weighted``, are cached once per point and validated when
+    the batch is evaluated; the log-densities are written into the record
+    too (``log_density_batch(..., out)``) and checked there.  A checkpoint
+    that falls on a batch boundary also serves as the next center.
 
     ``sample``, when given, is a static run's ``(points, values)``, already
     evaluated; it is checked once and is itself the record, which the run
@@ -369,7 +371,6 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     if config.q0.dimension != d:
         raise ValueError(f"q0 has dimension {config.q0.dimension} but the objective has dimension {d}")
     n = config.budget
-    B = config.batch_size
     box = config.projection_box
     sigma2 = 1.0 / config.q0.dimension if config.sigma2 is None else config.sigma2
     rng = make_rng(config.seed)
@@ -384,7 +385,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, estimator, *args
     mu = None
     filled = next_cp = 0
     while filled < n:
-        b = min(B, n - filled)
+        b = min(batch_size, n - filled)
         if mu is None:
             policy = config.q0
         else:
@@ -416,18 +417,15 @@ def run_adaptive_liso(objective: Objective, config: AdaptiveConfig) -> Tuple[Arr
     """Adaptive softmin averaging: each batch recenters the sampler at the
     current weighted-average estimate, preserving a fixed exploration mixture.
     """
-    return _run_adaptive(objective, config, _SoftminPrefixes, config.alpha0, config.fixed_alpha)
+    return _run_adaptive(objective, config, config.batch_size, _SoftminPrefixes,
+                         config.alpha0, config.fixed_alpha)
 
 
 def run_adaptive_random_search(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
     """Adaptive random search: like adaptive softmin averaging, but the
     sampler recenters at the best point seen so far instead of the average.
     """
-    return _run_adaptive(objective, config, _BestPrefixes)
-
-
-def _one_batch(config: AdaptiveConfig) -> AdaptiveConfig:
-    return dataclasses.replace(config, batch_size=config.budget)
+    return _run_adaptive(objective, config, config.batch_size, _BestPrefixes)
 
 
 def run_liso(objective: Objective, config: AdaptiveConfig,
@@ -442,7 +440,7 @@ def run_liso(objective: Objective, config: AdaptiveConfig,
     sample.  ``sample``, when given, is that draw's ``(points, values)``,
     already made, and nothing is evaluated.
     """
-    return _run_adaptive(objective, _one_batch(config), _SoftminPrefixes,
+    return _run_adaptive(objective, config, config.budget, _SoftminPrefixes,
                          config.alpha0, config.fixed_alpha, sample=sample)
 
 
@@ -455,7 +453,7 @@ def run_random_search(objective: Objective, config: AdaptiveConfig,
     which enables paired comparisons and lets the two share one ``sample``,
     checked the same way.  Ties go to the lowest sample index.
     """
-    return _run_adaptive(objective, _one_batch(config), _BestPrefixes, sample=sample)
+    return _run_adaptive(objective, config, config.budget, _BestPrefixes, sample=sample)
 
 
 def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Array, RunTrace]:
@@ -472,4 +470,4 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
         raise ValueError("isotropic ES requires batch_size >= 2")
     # A mixture of weight 0 draws the adapted Gaussian's own stream.
     config = dataclasses.replace(config, mixture_weight=0.0, projection_box=None)
-    return _run_adaptive(objective, config, _RecombinePrefixes, config.batch_size)
+    return _run_adaptive(objective, config, config.batch_size, _RecombinePrefixes, config.batch_size)

@@ -227,6 +227,34 @@ def test_bench_output_in_missing_directory_is_usage_error(tmp_path, capsys, monk
     assert not any(p.exists() for p in paths.values())
 
 
+@pytest.mark.parametrize("csv_out,svg_out,message", [
+    ("out", "r.svg", "cannot write out: it is a directory"),
+    ("r.csv", "out", "cannot write out: it is a directory"),
+    ("r.out", "r.out", "cannot write both the CSV and the SVG to r.out"),
+    ("r.out", "./sub/../r.out", "cannot write both the CSV and the SVG to ./sub/../r.out"),
+    ("r.out", "link.out", "cannot write both the CSV and the SVG to link.out"),
+], ids=["csv_is_a_directory", "svg_is_a_directory", "same_path", "same_path_after_resolving",
+        "svg_is_a_link_to_the_csv"])
+def test_bench_output_path_that_cannot_be_written_is_usage_error(
+        tmp_path, capsys, monkeypatch, csv_out, svg_out, message):
+    def no_trial(spec):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("lisopt.cli.run_experiment", no_trial)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.out").symlink_to("r.out")
+    ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=100,
+                   seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
+                   trials=2).to_yaml("exp.yaml")
+    code, out, err = run_cli(capsys, "bench", "--config", "exp.yaml",
+                             "--csv-out", csv_out, "--svg-out", svg_out)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml", "link.out", "out", "sub"]
+
+
 def report_trials(path):
     report = parse_csv(path)
     (stats,) = report.methods.values()
@@ -254,6 +282,14 @@ def test_bench_invalid_yaml_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert f"{config}: not valid YAML" in err and "trial" not in err
     assert out == ""
+
+
+def test_bench_spec_that_is_not_a_mapping_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("- objective\n- sphere\n")
+    code, out, err = run_cli(capsys, "bench", "--config", str(config))
+    assert code == 2 and out == ""
+    assert f"{config}: expected a YAML mapping" in err
 
 
 def test_bench_float_budget_is_usage_error(tmp_path, capsys):
@@ -323,7 +359,9 @@ def test_bench_non_finite_number_is_usage_error(tmp_path, capsys, key, value):
     ("q0_center", f"[0.5, {10**400}]", "q0_center entries must be finite"),
     ("budget", str(10**30), "budget must be at most 2**63 - 1"),
     ("alpha0", "1.0e+308", "alpha0 is too large: its temperature at 100 evaluations is inf"),
-], ids=["alpha0", "q0_center", "budget", "alpha0_overflow"])
+    ("q0_variance", "0", "q0_variance must be positive"),
+    ("q0_variance", "-1.0", "q0_variance must be positive"),
+], ids=["alpha0", "q0_center", "budget", "alpha0_overflow", "q0_variance_zero", "q0_variance_negative"])
 def test_bench_over_large_integer_is_usage_error(tmp_path, capsys, key, value, message):
     fields = {"objective": "sphere", "dimension": "2", "methods": "[liso]", "budget": "100",
               "seed": "1", "alpha0": "1.0", "q0_center": "[0.5, 0.5]", "q0_variance": "1.0",

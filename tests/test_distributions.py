@@ -161,3 +161,5 @@ def test_sampling_into_a_buffer_gives_the_same_bits_and_stream(policy):
     assert rng.bit_generator.state == expected_rng.bit_generator.state
     with pytest.raises(ValueError):
         policy.sample(rng, 4, out=np.empty((5, 3)))
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        policy.sample(rng, 0)

@@ -97,6 +97,11 @@ def test_average_refuses_non_finite_points(bad):
         self_normalized_average(np.array([[bad], [1.0]]), np.zeros(2))
 
 
+def test_average_needs_one_log_weight_per_point():
+    with pytest.raises(ValueError, match="one log-weight per row"):
+        self_normalized_average(np.zeros((3, 1)), np.zeros(2))
+
+
 def test_average_equal_weights_is_midpoint():
     pts = np.array([[0.0], [2.0]])
     assert self_normalized_average(pts, np.zeros(2)) == pytest.approx([1.0])

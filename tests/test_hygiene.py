@@ -1,6 +1,6 @@
 """Static hygiene of ``src/lisopt``: every import is used, every private
 module-level name is used somewhere in the package, and no line silences a
-linter."""
+linter or the coverage count (``noqa``, ``pragma: no cover``)."""
 
 import ast
 import re
@@ -65,5 +65,5 @@ def test_every_private_module_name_is_used():
 def test_no_line_silences_a_linter():
     marked = [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
               for i, line in enumerate(path.read_text().splitlines(), 1)
-              if re.search(r"#.*\bnoqa\b", line, re.IGNORECASE)]
+              if re.search(r"#.*\b(noqa|pragma:\s*no\s*cover)\b", line, re.IGNORECASE)]
     assert marked == []

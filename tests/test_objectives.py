@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -62,6 +63,22 @@ def test_benchmarks_deterministic_and_minimized_at_known_minimizer():
         assert obj(obj.known_minimizer) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_unknown_benchmark_names_the_choices():
+    message = "unknown benchmark 'nope'; choose from ['ackley', 'rastrigin', 'sphere']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        benchmark("nope", 2)
+
+
+@pytest.mark.parametrize("evaluate", [sphere, rastrigin, ackley, benchmark("sphere", 2)],
+                         ids=["sphere", "rastrigin", "ackley", "objective"])
+@pytest.mark.parametrize("x,shape", [([], "(0,)"), (2.0, "()"), ([[1.0, 2.0]], "(1, 2)")],
+                         ids=["empty", "scalar", "matrix"])
+def test_one_point_must_be_a_nonempty_vector(evaluate, x, shape):
+    message = rf"^expected a vector of length \d+, got shape {re.escape(shape)}$"
+    with pytest.raises(EvaluationError, match=message):
+        evaluate(x)
+
+
 def test_eval_counter_counts_every_evaluation():
     obj = benchmark("sphere", 2)
     for k in range(1, 6):
@@ -77,7 +94,7 @@ def test_nonfinite_input_rejected():
         obj(np.array([np.nan, 0.0]))
     with pytest.raises(EvaluationError):
         obj(np.array([np.inf, 0.0]))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"^expected a vector of length 2, got shape \(3,\)$"):
         obj(np.zeros(3))
 
 
@@ -88,6 +105,9 @@ def test_nan_output_rejected_plus_inf_allowed():
     neg = Objective(1, lambda P: np.full(P.shape[0], -np.inf))
     with pytest.raises(EvaluationError):
         neg(np.zeros(1))
+    extra = Objective(2, lambda P: np.zeros(P.shape[0] + 1))
+    with pytest.raises(EvaluationError, match="wrongly shaped result"):
+        extra.evaluate_batch(np.zeros((3, 2)))
     penalty = Objective(1, lambda P: np.where(np.abs(P[:, 0]) > 1, np.inf, 0.0))
     assert penalty(np.array([2.0])) == np.inf
     assert penalty(np.array([0.5])) == 0.0

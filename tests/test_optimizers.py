@@ -444,6 +444,8 @@ def test_es_runs_and_respects_budget():
 def test_one_config_serves_every_driver():
     assert StaticConfig is AdaptiveConfig
     q0 = IsotropicGaussian(mean=np.ones(4), variance=0.5)
+    with pytest.raises(ValueError, match="^budget must be >= 1$"):
+        AdaptiveConfig(budget=0, alpha0=1.0, q0=q0, seed=0)
     with pytest.raises(ValueError, match="fixed_alpha"):
         AdaptiveConfig(budget=10, alpha0=1.0, q0=q0, seed=0, fixed_alpha=0.0)
     # An alpha0 whose temperature at the budget overflows is refused; a
