@@ -38,8 +38,8 @@ from .oracle import (
 )
 
 _ORACLE_FUNCTIONS = {
-    "quad-cubic": (cubic_perturbed_quadratic, CUBIC_DOMAIN, np.zeros(1)),
-    "quadratic": (benchmark("sphere", 1), ((-8.0, 8.0),), np.zeros(1)),
+    "quad-cubic": (cubic_perturbed_quadratic, CUBIC_DOMAIN),
+    "quadratic": (benchmark("sphere", 1), ((-8.0, 8.0),)),
 }
 
 
@@ -62,14 +62,14 @@ def _cmd_optimize(args) -> int:
         batch_size=args.batch_size, mixture_weight=args.mixture_weight, sigma2=args.sigma2)
     config = dataclasses.replace(spec.config, seed=args.seed)
     driver, _ = _DRIVERS[args.method]
-    if args.external:
+    if args.external is not None:
         with external_objective(args.external, args.d) as objective:
             estimate, _ = driver(objective, config)
     else:
         objective = benchmark(args.fn, args.d)
         estimate, _ = driver(objective, config)
     print("estimate:", " ".join(format_float(v) for v in estimate))
-    if not args.external:
+    if args.external is None:
         print("objective value:", format_float(objective(estimate)))
     return 0
 
@@ -95,10 +95,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    f, domain, minimizer = _ORACLE_FUNCTIONS[args.fn]
+    f, domain = _ORACLE_FUNCTIONS[args.fn]
     if args.alphas:
         alphas = _parse_floats(args.alphas, "--alphas")
-        gaps = laplace_gap(f, minimizer, domain, alphas, grid_points=args.grid)
+        gaps = laplace_gap(f, f.known_minimizer, domain, alphas, grid_points=args.grid)
         for a, g in zip(alphas, gaps):
             print(f"alpha={format_float(a)} gap={format_float(float(g))}")
     else:

@@ -1,7 +1,8 @@
 """Objective functions: counted evaluation, benchmark suite, external processes.
 
-Every optimizer in this package talks to an :class:`Objective`, which owns
-the evaluation counter so that all methods are compared on identical budgets.
+Every optimizer in this package, and the quadrature oracle, talks to an
+:class:`Objective`, which owns the evaluation counter so that all methods are
+compared on identical budgets; every objective the package defines is one.
 ``Objective.__call__`` is the one evaluation of a single point, a vector of
 its dimension; ``sphere``, ``rastrigin`` and ``ackley`` call it on the suite
 objective of the input's length (dimension 1 for an input of no length).
@@ -43,7 +44,7 @@ class Objective:
     Parameters
     ----------
     dimension:
-        Length of the input vectors.
+        Length of the input vectors: an int or a numpy integer, not a bool.
     batch_evaluator:
         Maps an (m, d) array to an (m,) array of values.
     known_minimizer:
@@ -57,6 +58,8 @@ class Objective:
         known_minimizer: Optional[Array] = None,
         name: str = "objective",
     ):
+        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {dimension!r}")
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = int(dimension)
@@ -204,9 +207,15 @@ class ExternalObjective(Objective):
         import shlex
         import subprocess
 
-        # The base class checks the dimension, so a bad one raises before any child exists.
+        # The base class checks the dimension, and the command is checked
+        # here, so a bad one raises before any child exists.
         super().__init__(dimension, self._batch_roundtrip, name="external")
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise ValueError(f"cannot split the command {command!r}: {exc}") from None
+        if not argv:
+            raise ValueError(f"the command {command!r} names no program")
         try:
             self._proc = subprocess.Popen(
                 argv,

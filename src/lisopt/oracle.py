@@ -9,9 +9,9 @@ Integrands are computed in shifted log space (shift = grid minimum of f) and
 exponentiated, so the same anti-underflow discipline applies as in the
 estimator core; the shift cancels algebraically in every ratio.
 
-``f`` is either a plain per-point callable, called once per grid node, or an
-:class:`~lisopt.objectives.Objective`, evaluated with one ``evaluate_batch``
-call per grid (so its ``eval_count`` grows by the node count per grid).
+``f`` is an :class:`~lisopt.objectives.Objective` of the box's dimension,
+evaluated with one ``evaluate_batch`` call per grid and temperature, so its
+``eval_count`` grows by the node count each time.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .estimators import _one_blas_thread, _positive_finite
+from .objectives import Objective
 
 Array = np.ndarray
 
@@ -47,8 +48,9 @@ class QuadratureSpec:
         for lo, hi in self.domain:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("domain box must be finite and nonempty")
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be odd and >= 3")
+        if (not isinstance(self.grid_points, (int, np.integer))
+                or self.grid_points < 3 or self.grid_points % 2 == 0):
+            raise ValueError(f"grid_points must be an odd integer >= 3, got {self.grid_points!r}")
         _positive_finite("alpha", self.alpha)
 
     @property
@@ -73,23 +75,14 @@ def _grid(spec: QuadratureSpec):
     return nodes, weights
 
 
-def _shifted_boltzmann(f: Callable, nodes: Array, alpha: float) -> Array:
-    """exp(-alpha (f - shift)) at each node, shift being the min of f on the nodes."""
-    evaluate_batch = getattr(f, "evaluate_batch", None)
-    if evaluate_batch is not None:
-        values = np.asarray(evaluate_batch(nodes), dtype=float)
-    else:
-        values = np.array([f(x) for x in nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise QuadratureError("objective is non-finite on the quadrature box")
-    shift = float(np.min(values))
-    # At a huge alpha the exponent overflows to -inf away from the minimum,
-    # and the factor underflows to its exact limit, 0.
-    with np.errstate(over="ignore"):
-        return np.exp(-alpha * (values - shift))
+def _check_objective(f: Objective, dimension: int) -> None:
+    if not isinstance(f, Objective):
+        raise TypeError(f"the oracle evaluates an Objective, got {type(f).__name__}")
+    if f.dimension != dimension:
+        raise ValueError(f"the objective has dimension {f.dimension} but the box has dimension {dimension}")
 
 
-def gibbs_mean(f: Callable, spec: QuadratureSpec, *,
+def gibbs_mean(f: Objective, spec: QuadratureSpec, *,
                grid: Optional[Tuple[Array, Array]] = None) -> Array:
     """Mean of the tempered measure pi_alpha restricted to the box.
 
@@ -97,8 +90,16 @@ def gibbs_mean(f: Callable, spec: QuadratureSpec, *,
     ``grid``, when given, is ``spec``'s nodes and Simpson weights, built once
     by a caller that evaluates several temperatures on one grid.
     """
+    _check_objective(f, spec.dimension)
     nodes, weights = _grid(spec) if grid is None else grid
-    integrand = _shifted_boltzmann(f, nodes, spec.alpha)
+    values = f.evaluate_batch(nodes)
+    if not np.all(np.isfinite(values)):  # +inf: the Objective refuses NaN and -inf
+        raise QuadratureError("objective is non-finite on the quadrature box")
+    shift = float(np.min(values))
+    # At a huge alpha the exponent overflows to -inf away from the minimum,
+    # and the factor underflows to its exact limit, 0.
+    with np.errstate(over="ignore"):
+        integrand = np.exp(-spec.alpha * (values - shift))
     z = float(_one_blas_thread(np.dot, weights, integrand))
     if z <= 0.0 or not math.isfinite(z):
         raise QuadratureError(
@@ -108,7 +109,7 @@ def gibbs_mean(f: Callable, spec: QuadratureSpec, *,
 
 
 def laplace_gap(
-    f: Callable,
+    f: Objective,
     minimizer,
     domain: Tuple[Tuple[float, float], ...],
     alphas: Sequence[float],
@@ -121,9 +122,12 @@ def laplace_gap(
     the gap decays like 1/alpha; for a pure quadratic it is exactly zero
     (the tempered measure is a centered Gaussian).
     """
+    _check_objective(f, len(domain))
     minimizer = np.atleast_1d(np.asarray(minimizer, dtype=float))
     if minimizer.shape != (len(domain),):
         raise ValueError(f"minimizer has shape {minimizer.shape} but the box has shape ({len(domain)},)")
+    if not np.isfinite(minimizer).all():
+        raise ValueError(f"minimizer must be finite, got {minimizer}")
     alphas = list(alphas)
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
@@ -138,19 +142,14 @@ def laplace_gap(
     return gaps
 
 
-def cubic_perturbed_quadratic(x) -> float:
-    """x^2 + 0.2 x^3 in 1-d: a quadratic whose third derivative does not vanish.
-
-    On [-3, 3] its unique minimum is 0 at the origin, making it the standard
-    test case for the 1/alpha concentration law (a pure quadratic has zero
-    gap and cannot exercise it).  ``x`` is that one coordinate: a number or
-    an array of one element.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size != 1:
-        raise ValueError(f"cubic_perturbed_quadratic takes one coordinate, got shape {x.shape}")
-    v = x.item()
-    return v * v + 0.2 * v**3
+# x^2 + 0.2 x^3 in 1-d: a quadratic whose third derivative does not vanish.
+# Its unique minimum on CUBIC_DOMAIN, [-3, 3], is 0 at the origin (on [-6, 6]
+# the cubic term puts it at the edge), making it the standard test case for
+# the 1/alpha concentration law, which a pure quadratic (zero gap) cannot show.
+def _cubic_batch(points: Array) -> Array:
+    x = points[:, 0]
+    return x * x + 0.2 * x**3
 
 
+cubic_perturbed_quadratic = Objective(1, _cubic_batch, known_minimizer=np.zeros(1), name="quad-cubic")
 CUBIC_DOMAIN = ((-3.0, 3.0),)

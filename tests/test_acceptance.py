@@ -188,10 +188,7 @@ def test_criterion_05_tempered_mean_concentrates():
     gaps = laplace_gap(cubic_perturbed_quadratic, np.zeros(1), CUBIC_DOMAIN, alphas)
     decreasing = bool(np.all(np.diff(gaps) < 0))
     slope = np.polyfit(np.log(alphas), np.log(gaps), 1)[0]
-    quad_gap = laplace_gap(
-        lambda x: float(np.sum(np.asarray(x) ** 2)),
-        np.zeros(1), ((-8.0, 8.0),), [16.0],
-    )[0]
+    quad_gap = laplace_gap(benchmark("sphere", 1), np.zeros(1), ((-8.0, 8.0),), [16.0])[0]
     ok = decreasing and slope <= -0.8 and quad_gap < 1e-8
     report(5, "tempered mean concentrates at the minimizer", ok,
            f"slope {slope:.3f}, symmetric-case gap {quad_gap:.1e}")

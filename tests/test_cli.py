@@ -147,6 +147,19 @@ def test_optimize_external_driver_error_reaps_the_child(capsys, tmp_path):
         os.kill(int(pid_file.read_text()), 0)
 
 
+@pytest.mark.parametrize("command,message", [
+    ("", "the command '' names no program"),
+    ("   ", "the command '   ' names no program"),
+    ("'x", "cannot split the command \"'x\": No closing quotation"),
+], ids=["empty", "blank", "unclosed_quote"])
+def test_optimize_bad_external_command_is_usage_error(capsys, command, message):
+    # An empty command is a command, not a request for the built-in objective.
+    code, out, err = run_cli(capsys, "optimize", "--external", command, "--d", "2",
+                             "--method", "liso", "--n", "100")
+    assert code == 2 and not out
+    assert message in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "optimize", "--does-not-exist", "1")
     assert code == 2

@@ -79,6 +79,16 @@ def test_one_point_must_be_a_nonempty_vector(evaluate, x, shape):
         evaluate(x)
 
 
+def test_dimension_must_be_an_integer():
+    # int() would make 2.5 a 2-d objective, and True a 1-d one.
+    for dimension in (2.5, 2.0, True, np.bool_(True), "2"):
+        message = f"^dimension must be an integer, got {re.escape(repr(dimension))}$"
+        with pytest.raises(ValueError, match=message):
+            Objective(dimension, lambda P: P[:, 0])
+    objective = Objective(np.int64(3), lambda P: P[:, 0])
+    assert type(objective.dimension) is int and objective.dimension == 3
+
+
 def test_eval_counter_counts_every_evaluation():
     obj = benchmark("sphere", 2)
     for k in range(1, 6):
@@ -227,6 +237,20 @@ def test_external_bad_dimension_spawns_no_child(monkeypatch, tmp_path):
         for proc in spawned:  # reap a child spawned anyway, so the marker check is not a race
             proc.communicate()
     assert not spawned and not marker.exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    ("", "the command '' names no program"),
+    ("   ", "the command '   ' names no program"),
+    ([], "the command [] names no program"),
+    ("'x", "cannot split the command \"'x\": No closing quotation"),
+], ids=["empty", "blank", "empty_argv", "unclosed_quote"])
+def test_external_bad_command_spawns_no_child(monkeypatch, command, message):
+    spawns = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: spawns.append(args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        external_objective(command, 2)
+    assert not spawns
 
 
 def finish_within(seconds, fn):

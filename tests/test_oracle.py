@@ -1,13 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lisopt import (
+    EvaluationError,
     IsotropicGaussian,
     Objective,
     QuadratureError,
     QuadratureSpec,
+    benchmark,
     cubic_perturbed_quadratic,
     gibbs_mean,
     laplace_gap,
@@ -15,6 +18,7 @@ from lisopt import (
     make_rng,
     normalized_weights,
 )
+from lisopt import oracle
 from lisopt.oracle import CUBIC_DOMAIN
 
 
@@ -25,16 +29,49 @@ def test_gibbs_mean_at_a_huge_temperature_is_the_grid_minimizer():
 
 
 def test_cubic_takes_exactly_one_coordinate():
-    assert cubic_perturbed_quadratic(np.array([2.0])) == cubic_perturbed_quadratic(2.0) == 5.6
-    with pytest.raises(ValueError, match=r"one coordinate, got shape \(2,\)"):
-        cubic_perturbed_quadratic([1.0, 5.0])
-    # A 2-d box hands it two coordinates per node: an error, not a mean of the first.
-    with pytest.raises(ValueError, match=r"one coordinate, got shape \(2,\)"):
-        gibbs_mean(cubic_perturbed_quadratic, QuadratureSpec(((-3, 3), (-3, 3)), 41, 4.0))
+    assert isinstance(cubic_perturbed_quadratic, Objective)
+    assert cubic_perturbed_quadratic(np.array([2.0])) == cubic_perturbed_quadratic([2.0]) == 5.6
+    assert np.array_equal(cubic_perturbed_quadratic.known_minimizer, [0.0])
+    for x, shape in ((2.0, r"\(\)"), ([1.0, 5.0], r"\(2,\)")):
+        with pytest.raises(EvaluationError, match=f"got shape {shape}"):
+            cubic_perturbed_quadratic(x)
 
 
-def quadratic(x):
-    return float(np.sum(np.asarray(x) ** 2))
+def refuse_grids(monkeypatch):
+    """Make building a quadrature grid fail, to show a check runs before it."""
+    def no_grid(spec):
+        raise AssertionError("built a grid")
+    monkeypatch.setattr(oracle, "_grid", no_grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: gibbs_mean(f, QuadratureSpec(((-3.0, 3.0), (-3.0, 3.0)), 1601, 4.0)),
+    lambda f: laplace_gap(f, [0.0, 0.0], ((-3.0, 3.0), (-3.0, 3.0)), [4.0, 8.0]),
+], ids=["gibbs_mean", "laplace_gap"])
+def test_oracle_refuses_an_objective_of_another_dimension_before_its_grid(monkeypatch, call):
+    # A 2-d box would hand the 1-d cubic two coordinates per node at each of
+    # its 1601**2 nodes; the dimensions are compared first.
+    refuse_grids(monkeypatch)
+    with pytest.raises(ValueError, match="objective has dimension 1 but the box has dimension 2"):
+        call(cubic_perturbed_quadratic)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: float(np.sum(np.asarray(x) ** 2)),
+    math.fabs,
+    # Duck-typed: the attributes of an Objective, but not its checks.
+    SimpleNamespace(dimension=1, evaluate_batch=lambda P: np.sum(P * P, axis=1)),
+], ids=["lambda", "builtin", "duck_typed"])
+def test_oracle_evaluates_only_an_objective(monkeypatch, f):
+    refuse_grids(monkeypatch)
+    with pytest.raises(TypeError, match="the oracle evaluates an Objective"):
+        gibbs_mean(f, QuadratureSpec(((-1.0, 1.0),), 11, 1.0))
+    with pytest.raises(TypeError, match="the oracle evaluates an Objective"):
+        laplace_gap(f, [0.0], ((-1.0, 1.0),), [1.0], grid_points=11)
+
+
+def quadratic():
+    return benchmark("sphere", 1)
 
 
 def test_spec_validation():
@@ -44,6 +81,10 @@ def test_spec_validation():
         QuadratureSpec(domain=((1.0, 0.0),))
     with pytest.raises(ValueError):
         QuadratureSpec(domain=((0.0, 1.0),), grid_points=4)
+    for grid_points in (5.5, 5.0, "5"):
+        with pytest.raises(ValueError, match=f"grid_points must be an odd integer >= 3, got {grid_points!r}"):
+            QuadratureSpec(domain=((0.0, 1.0),), grid_points=grid_points)
+    assert QuadratureSpec(domain=((0.0, 1.0),), grid_points=np.int64(5)).grid_points == 5
     with pytest.raises(ValueError):
         QuadratureSpec(domain=((0.0, 1.0),), alpha=0.0)
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
@@ -55,11 +96,11 @@ def test_spec_validation():
 def test_mean_symmetric_cases():
     c = 1.3
     spec = QuadratureSpec(((c - 6.0, c + 6.0),), 1601, 2.0)
-    mean = gibbs_mean(lambda x: (float(x[0]) - c) ** 2, spec)
+    mean = gibbs_mean(Objective(1, lambda P: (P[:, 0] - c) ** 2), spec)
     assert mean[0] == pytest.approx(c, abs=1e-8)
 
     spec = QuadratureSpec(((-6.0, 6.0),), 1601, 1.0)
-    mean = gibbs_mean(lambda x: float(x[0]) ** 2 + float(x[0]) ** 4, spec)
+    mean = gibbs_mean(Objective(1, lambda P: P[:, 0] ** 2 + P[:, 0] ** 4), spec)
     assert mean[0] == pytest.approx(0.0, abs=1e-8)
 
     # 2-d, on a box off-centre around the minimizer, so the grid is not
@@ -110,25 +151,41 @@ def test_mean_cross_checked_by_importance_sampling():
 def test_mean_shift_invariance():
     spec = QuadratureSpec(CUBIC_DOMAIN, 801, 8.0)
     base = gibbs_mean(cubic_perturbed_quadratic, spec)
-    shifted = gibbs_mean(lambda x: cubic_perturbed_quadratic(x) + 10.0, spec)
+    shifted = gibbs_mean(Objective(1, lambda P: cubic_perturbed_quadratic.evaluate_batch(P) + 10.0), spec)
     assert np.allclose(base, shifted, rtol=0, atol=1e-12)
 
 
 def test_nonfinite_objective_rejected():
-    with pytest.raises(QuadratureError):
-        gibbs_mean(lambda x: float("nan"), QuadratureSpec(((0.0, 1.0),), 11, 1.0))
+    spec = QuadratureSpec(((0.0, 1.0),), 11, 1.0)
+    # +inf, which an Objective lets through, has no Boltzmann factor to integrate.
+    with pytest.raises(QuadratureError, match="non-finite on the quadrature box"):
+        gibbs_mean(Objective(1, lambda P: np.full(len(P), np.inf)), spec)
+    # NaN and -inf never leave the Objective.
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(EvaluationError, match="NaN or -inf"):
+            gibbs_mean(Objective(1, lambda P: np.full(len(P), bad)), spec)
 
 
 def test_laplace_gap_quadratic_is_exactly_centered():
-    gaps = laplace_gap(quadratic, [0.0], ((-8.0, 8.0),), [4.0, 8.0, 16.0, 32.0, 64.0])
+    gaps = laplace_gap(quadratic(), [0.0], ((-8.0, 8.0),), [4.0, 8.0, 16.0, 32.0, 64.0])
     assert np.all(gaps < 1e-8)
 
 
 def test_laplace_gap_needs_a_minimizer_of_the_box_dimension():
-    assert laplace_gap(quadratic, 0.0, ((-8.0, 8.0),), [4.0])[0] < 1e-8  # a scalar on a 1-d box
+    assert laplace_gap(quadratic(), 0.0, ((-8.0, 8.0),), [4.0])[0] < 1e-8  # a scalar on a 1-d box
     sphere2 = Objective(2, lambda p: np.sum(p * p, axis=1))
     with pytest.raises(ValueError, match=r"minimizer has shape \(1,\) but the box has shape \(2,\)"):
         laplace_gap(sphere2, np.zeros(1), ((-3.0, 3.0), (-3.0, 3.0)), [4.0], grid_points=41)
+
+
+@pytest.mark.parametrize("minimizer", [np.nan, np.inf, -np.inf, [0.0, np.nan]],
+                         ids=["nan", "inf", "-inf", "2d_nan"])
+def test_laplace_gap_refuses_a_non_finite_minimizer(monkeypatch, minimizer):
+    refuse_grids(monkeypatch)  # refused before the grid, not a NaN gap after it
+    f = quadratic() if np.ndim(minimizer) == 0 else Objective(2, lambda p: np.sum(p * p, axis=1))
+    domain = ((-8.0, 8.0),) * f.dimension
+    with pytest.raises(ValueError, match="minimizer must be finite"):
+        laplace_gap(f, minimizer, domain, [4.0, 8.0], grid_points=41)
 
 
 def test_laplace_gap_cubic_halving_ratios():
@@ -148,7 +205,7 @@ def test_laplace_gap_monotone_decay():
 
 def test_laplace_gap_requires_increasing_alphas():
     with pytest.raises(ValueError):
-        laplace_gap(quadratic, [0.0], ((-1.0, 1.0),), [4.0, 2.0])
+        laplace_gap(quadratic(), [0.0], ((-1.0, 1.0),), [4.0, 2.0])
 
 
 class BatchCountingObjective(Objective):
@@ -165,11 +222,16 @@ def quad_cubic_2d():
     return BatchCountingObjective(2, lambda P: np.sum(P * P + 0.2 * P**3, axis=1))
 
 
+def one_node_at_a_time(objective):
+    """The same values, from one call of ``objective`` per node."""
+    return Objective(objective.dimension, lambda P: np.array([objective(x) for x in P]))
+
+
 def test_objective_is_evaluated_one_batch_per_grid():
     domain = ((-3.0, 3.0), (-3.0, 3.0))
     spec = QuadratureSpec(domain, 41, 8.0)
     reference = quad_cubic_2d()
-    per_node = gibbs_mean(lambda x: reference(x), spec)
+    per_node = gibbs_mean(one_node_at_a_time(reference), spec)
     assert reference.batch_calls == 41 * 41
 
     obj = quad_cubic_2d()
@@ -181,5 +243,5 @@ def test_objective_is_evaluated_one_batch_per_grid():
     gaps = laplace_gap(obj, [0.0, 0.0], domain, alphas, grid_points=41)
     assert (obj.batch_calls, obj.eval_count) == (len(alphas), len(alphas) * 41 * 41)
     reference = quad_cubic_2d()
-    expected = laplace_gap(lambda x: reference(x), [0.0, 0.0], domain, alphas, grid_points=41)
+    expected = laplace_gap(one_node_at_a_time(reference), [0.0, 0.0], domain, alphas, grid_points=41)
     assert np.array_equal(gaps, expected)

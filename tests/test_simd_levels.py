@@ -1,9 +1,11 @@
-"""The golden and bench digests, checked at numpy's AVX2 level as well.
+"""The golden and bench digests and the oracle's bits, checked at numpy's AVX2
+level as well.
 
 On an AVX-512 host numpy can be started on its AVX2 kernels by disabling the
-AVX-512 features, and ``np.exp`` and ``np.log`` then round differently.  Both
-digest files hold a table for each level, so running them in a subprocess
-under that setting checks every digest at both levels on one machine.
+AVX-512 features, and ``np.exp``, ``np.log`` and ``x**3`` then round
+differently.  Both digest files hold a table for each level, and the oracle's
+outputs are compared with a per-node reference, so running the three files in
+a subprocess under that setting checks them at both levels on one machine.
 """
 
 import os
@@ -26,7 +28,8 @@ def test_digests_hold_under_the_avx2_kernels():
     src = os.path.dirname(os.path.dirname(os.path.abspath(lisopt.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=AVX2_ONLY)
-    files = [str(TESTS / "test_golden_traces.py"), str(TESTS / "test_bench_digests.py")]
+    files = [str(TESTS / name) for name in
+             ("test_golden_traces.py", "test_bench_digests.py", "test_oracle_bits.py")]
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
                          cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=300)
     summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else out.stderr
