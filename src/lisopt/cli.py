@@ -55,7 +55,8 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
 
 def _cmd_optimize(args) -> int:
     """One trial of a one-method spec, which checks every flag, run with ``--seed`` as its seed."""
-    center = _parse_floats(args.q0_center, "--q0-center") if args.q0_center else np.zeros(max(args.d, 0))
+    center = (np.zeros(max(args.d, 0)) if args.q0_center is None
+              else _parse_floats(args.q0_center, "--q0-center"))
     spec = ExperimentSpec(
         objective=args.fn, dimension=args.d, methods=(args.method,), budget=args.n, seed=args.seed,
         alpha0=args.alpha0, q0_center=center.tolist(), q0_variance=args.q0_var, trials=1,
@@ -74,17 +75,25 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _output_path(flag: str, given, spec_path, default: str) -> str:
+    """The path a flag gives, else the spec's, else ``default``; checked
+    before any trial runs."""
+    path = given if given is not None else spec_path if spec_path is not None else default
+    if not path:  # a spec refuses an empty path itself
+        raise ConfigError(f"{flag} must name a file, got ''")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: its directory does not exist")
+    return path
+
+
 def _cmd_bench(args) -> int:
     spec = ExperimentSpec.from_yaml(args.config)
     if args.trials is not None:
         spec = dataclasses.replace(spec, trials=args.trials)
-    csv_path = args.csv_out or spec.csv_out or "report.csv"
-    svg_path = args.svg_out or spec.svg_out or "report.svg"
-    for path in (csv_path, svg_path):  # before any trial runs
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write {path}: it is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"cannot write {path}: its directory does not exist")
+    csv_path = _output_path("--csv-out", args.csv_out, spec.csv_out, "report.csv")
+    svg_path = _output_path("--svg-out", args.svg_out, spec.svg_out, "report.svg")
     if os.path.realpath(csv_path) == os.path.realpath(svg_path):
         raise ConfigError(f"cannot write both the CSV and the SVG to {svg_path}")
     report = run_experiment(spec)
@@ -96,7 +105,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f, domain = _ORACLE_FUNCTIONS[args.fn]
-    if args.alphas:
+    if args.alphas is not None:
         alphas = _parse_floats(args.alphas, "--alphas")
         gaps = laplace_gap(f, f.known_minimizer, domain, alphas, grid_points=args.grid)
         for a, g in zip(alphas, gaps):

@@ -167,6 +167,9 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be >= 1")
         if self.checkpoint_count > _MAX_CHECKPOINT_COUNT:
             raise ConfigError(f"checkpoint_count must be at most {_MAX_CHECKPOINT_COUNT}")
+        for name in ("csv_out", "svg_out"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must name a file, got ''")
         if len(self.q0_center) != self.dimension:
             raise ConfigError("q0_center length must equal dimension")
         if not self.q0_variance > 0:
@@ -210,11 +213,15 @@ class ExperimentSpec:
     def from_yaml(cls, path: str) -> "ExperimentSpec":
         """Load a flat YAML mapping; unknown keys are errors, not warnings."""
         import yaml  # here, not at the top: only spec files need yaml's ~14 ms import
-        with open(path, "r") as fh:
-            try:
-                raw = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        try:
+            with open(path, "r") as fh:
+                text = fh.read()
+        except OSError as exc:  # missing, a directory, not readable
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a YAML mapping of keys to values")
         known = set(cls.__dataclass_fields__)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class Objective:
     batch_evaluator:
         Maps an (m, d) array to an (m,) array of values.
     known_minimizer:
-        Location of the global minimum when known; enables error reporting.
+        Location of the global minimum when known, a finite d-vector; enables
+        error reporting.  The objective keeps its own read-only copy.
     """
 
     def __init__(
@@ -64,10 +65,13 @@ class Objective:
             raise ValueError("dimension must be >= 1")
         self.dimension = int(dimension)
         self._batch = batch_evaluator
-        self.known_minimizer = (
-            None if known_minimizer is None
-            else np.asarray(known_minimizer, dtype=float)
-        )
+        if known_minimizer is not None:
+            known_minimizer = np.array(known_minimizer, dtype=float)  # a copy the caller cannot change
+            if known_minimizer.shape != (self.dimension,) or not np.isfinite(known_minimizer).all():
+                raise ValueError(f"known_minimizer must be a finite vector of length {self.dimension}, "
+                                 f"got {np.array2string(known_minimizer, threshold=6)}")
+            known_minimizer.flags.writeable = False
+        self.known_minimizer = known_minimizer
         self.name = name
         self.eval_count = 0
 
@@ -185,7 +189,9 @@ class ExternalObjective(Objective):
     Request: the d coordinates as round-trip-exact decimals separated by
     single spaces, one line per evaluation, on the child's stdin.
     Response: one decimal number on one line from the child's stdout.
-    One request is always followed by exactly one response.
+    One request is always followed by exactly one response: a line past them
+    is an error, seen in the batch if it came with the batch's answers and at
+    the latest by :meth:`close`, once the child has exited.
 
     Requests are pipelined one batch at a time: all m lines of a batch are
     written by a background thread while the m answers are read, so a batch
@@ -234,22 +240,27 @@ class ExternalObjective(Objective):
         except OSError as exc:  # BrokenPipeError when the child is gone
             failures.append(exc)
 
-    def _read_value(self) -> float:
-        try:
-            response = self._proc.stdout.readline()
-        except OSError as exc:
-            raise EvaluationError(f"child pipe failure: {exc}") from exc
-        if response == "":
-            raise EvaluationError("child closed its output stream")
-        try:
-            value = float(response.strip())
-        except ValueError:
-            raise EvaluationError(
-                f"malformed response line: {response!r}"
-            ) from None
-        if math.isnan(value) or value == -math.inf:
-            raise EvaluationError(f"child returned a non-finite value: {response!r}")
-        return value
+    def _read_answers(self, m: int) -> Tuple[Array, bytes]:
+        """The child's next m answers, each checked as soon as its line is in,
+        and the bytes that came with them past the m-th line.
+
+        They are read from the pipe's descriptor, not through ``stdout``'s
+        buffer, so nothing the child sent is left unseen there.
+        """
+        fd, values, tail = self._proc.stdout.fileno(), [], b""
+        while len(values) < m:
+            try:
+                chunk = os.read(fd, 1 << 16)
+            except OSError as exc:
+                raise EvaluationError(f"child pipe failure: {exc}") from exc
+            if not chunk:  # the output ended; an unterminated last line is an answer too
+                values += map(_answer, [tail] if tail else [])
+                if len(values) < m:
+                    raise EvaluationError("child closed its output stream")
+                return np.array(values), b""
+            *lines, tail = (tail + chunk).split(b"\n", m - len(values))
+            values += map(_answer, lines)
+        return np.array(values), tail
 
     def _batch_roundtrip(self, points: Array) -> Array:
         if self._proc.poll() is not None:
@@ -260,7 +271,7 @@ class ExternalObjective(Objective):
         writer = threading.Thread(target=self._write, args=(payload, failures), daemon=True)
         writer.start()
         try:
-            values = np.array([self._read_value() for _ in range(len(points))])
+            values, surplus = self._read_answers(len(points))
             # A child that has answered every line has read every line, so the
             # writer is done; one still writing means the child ignores its input.
             writer.join(timeout=_CHILD_GRACE_S)
@@ -271,19 +282,27 @@ class ExternalObjective(Objective):
                 )
             if failures:
                 raise EvaluationError(f"child pipe failure: {failures[0]}") from failures[0]
+            _refuse_surplus(surplus)
         except BaseException:
             # Killing the child first unblocks a writer stuck on a full pipe.
             self._proc.kill()
             writer.join()
-            self.close()
+            self._stop()
             raise
         return values
 
     def close(self) -> None:
-        """End the child's input, wait up to 5 s for it to exit, then kill it.
+        """End the child's input, wait up to 5 s for it to exit, then kill it;
+        an EvaluationError if it had written a line past its last answer.
 
         The child is always reaped: ``returncode`` is set afterwards.
         """
+        _refuse_surplus(self._stop())
+
+    def _stop(self) -> bytes:
+        """``close`` without its check: returns what the child left unread
+        (one non-blocking read, which a grandchild holding the pipe cannot
+        stall); nothing when the child was stopped before."""
         proc = self._proc
         try:
             proc.stdin.close()
@@ -292,13 +311,42 @@ class ExternalObjective(Objective):
         if proc.poll() is None and not _exits_within(proc, _CHILD_GRACE_S):
             proc.kill()
             proc.wait()
+        if proc.stdout.closed:
+            return b""
+        os.set_blocking(proc.stdout.fileno(), False)
+        try:
+            left = os.read(proc.stdout.fileno(), 1 << 16)
+        except BlockingIOError:  # nothing was written, and the pipe is still open
+            left = b""
         proc.stdout.close()
+        return left
 
     def __enter__(self) -> "ExternalObjective":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:  # an error already propagating is not replaced by close's own
+            self._stop()
+
+
+def _answer(line: bytes) -> float:
+    """One response line of an external child as its value."""
+    try:
+        value = float(line)
+    except ValueError:
+        raise EvaluationError(f"malformed response line: {line.decode(errors='replace')!r}") from None
+    if math.isnan(value) or value == -math.inf:
+        raise EvaluationError(f"child returned a non-finite value: {line.decode(errors='replace')!r}")
+    return value
+
+
+def _refuse_surplus(data: bytes) -> None:
+    """An EvaluationError quoting the first line of ``data``, answers the child sent past its requests."""
+    if data:
+        line = data.split(b"\n", 1)[0].decode(errors="replace")
+        raise EvaluationError(f"child answered more lines than it was sent: {line!r}")
 
 
 def _exits_within(proc: subprocess.Popen, seconds: float) -> bool:

@@ -20,7 +20,6 @@ name for it); ``harness`` names the methods and runs them.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -107,8 +106,9 @@ class AdaptiveConfig:
     d being q0's dimension.  ``fixed_alpha``, when set, replaces the softmin
     drivers' temperature schedule, and ``alpha0`` is then not needed
     (``_check_temperature``).  The static drivers use one batch of
-    ``budget`` points whatever ``batch_size`` says.  ``projection_box`` is (lo, hi): two NaN-free bounds
-    of one shape, a scalar or one per dimension of q0, with lo <= hi.
+    ``budget`` points whatever ``batch_size`` says.  ``projection_box`` is
+    (lo, hi): two NaN-free bounds of one shape, a scalar or one per dimension
+    of q0, with lo <= hi, which the config keeps as read-only float copies.
     ``grid`` resolves the ``checkpoints`` asked for (the default grid when
     None), once: a read-only int array, sorted and distinct in [1, budget]
     and ending at budget, that every trace of the config records.  Two
@@ -138,12 +138,14 @@ class AdaptiveConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.projection_box is not None:
-            lo, hi = (np.asarray(a, dtype=float) for a in self.projection_box)
+            lo, hi = (np.array(a, dtype=float) for a in self.projection_box)  # copies, not views
             d = self.q0.dimension
             if lo.shape != hi.shape or lo.shape not in ((), (1,), (d,)):
                 raise ValueError(f"projection_box bounds must share one shape: (), (1,) or ({d},)")
             if not np.all(lo <= hi):  # false at a NaN bound too
                 raise ValueError("projection_box must be nonempty, with no NaN bound")
+            lo.flags.writeable = hi.flags.writeable = False
+            object.__setattr__(self, "projection_box", (lo, hi))
         grid = _resolve_checkpoints(self.checkpoints, self.budget)
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -161,61 +163,18 @@ def _project(x: Array, box: Optional[Tuple[Array, Array]]) -> Array:
     return np.clip(x, box[0], box[1])
 
 
-class _SoftminPrefixes:
-    """Softmin averages of growing prefixes of one evaluated sample.
-
-    ``at(c)`` re-weights the first c points in one work buffer of the
-    sample's length: the shifted values ``values - ref``, then in place the
-    log-weights and the normalized weights, so the average and the ESS come
-    from the same weights.  The log-weights are anchored at the smallest
-    value among the c points; prefixes are asked for in increasing c, so one
-    running minimum ``ref`` serves them all.  The buffer is allocated at the
-    first weighting, after the run's first log-densities and their scratch,
-    and held for the rest of the run.  A prefix whose values are all +inf has
-    no weight left and falls back to its argmin point.  The arrays may still
-    be filling: only their first c entries are read.
-    """
-
-    weighted = True  # reads the sampling log-densities
-
-    def __init__(self, points: Array, values: Array, logq: Array,
-                 alpha0: Optional[float], fixed_alpha: Optional[float]):
-        self.points, self.values, self.logq = points, values, logq
-        self.alpha0, self.fixed_alpha = alpha0, fixed_alpha
-        self.ref, self.upto = math.inf, 0  # ref = min(values[:upto])
-        self.work = None
-
-    @property
-    def degenerate(self) -> bool:
-        """Whether the last prefix asked for fell back to its argmin point."""
-        return self.ref == math.inf
-
-    def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
-        """Softmin average of the first c points, and its ESS when asked (else NaN)."""
-        self.ref = min(self.ref, self.values[self.upto:c].min())
-        self.upto = c
-        if self.degenerate:
-            return self.points[np.argmin(self.values[:c])], math.nan
-        if self.work is None:
-            self.work = np.empty(len(self.values))
-        w = np.subtract(self.values[:c], self.ref, out=self.work[:c])
-        alpha = self.fixed_alpha
-        if alpha is None:
-            alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
-        p = _normalize_into(_log_weights_into(w, alpha, self.logq[:c]))
-        return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
-
-
 class _BestPrefixes:
     """Best points of growing prefixes of one evaluated sample (random search).
 
-    Prefixes are asked for in increasing length, so one running argmin serves
-    them all.  Ties go to the lowest index.
+    Prefixes are asked for in increasing length, so one running first argmin
+    ``best`` serves them all: ties go to the lowest index.  The arrays may
+    still be filling: only their first c entries are read.
     """
 
     degenerate = weighted = False
+    mixes_and_projects = True  # later batches mix q0 in; estimates are projected
 
-    def __init__(self, points: Array, values: Array, logq: None):
+    def __init__(self, points: Array, values: Array, logq: Optional[Array]):
         self.points, self.values = points, values
         self.best, self.upto = 0, 0
 
@@ -226,6 +185,48 @@ class _BestPrefixes:
             self.best = i
         self.upto = c
         return self.points[self.best], math.nan
+
+
+class _SoftminPrefixes(_BestPrefixes):
+    """Softmin averages of growing prefixes of one evaluated sample.
+
+    The softmin estimate post-processes a random search: ``at(c)`` advances
+    the search's running best (``_BestPrefixes``), then re-weights the first
+    c points in one work buffer of the sample's length: the shifted values
+    ``values - values[best]``, then in place the log-weights and the
+    normalized weights, so the average and the ESS come from the same
+    weights.  The buffer is allocated at the first weighting, after the run's
+    first log-densities and their scratch, and held for the rest of the run.
+    A prefix whose values are all +inf has no weight left and falls back to
+    the search's best point, its first.
+    """
+
+    weighted = True  # reads the sampling log-densities
+
+    def __init__(self, points: Array, values: Array, logq: Array,
+                 alpha0: Optional[float], fixed_alpha: Optional[float]):
+        super().__init__(points, values, logq)
+        self.logq, self.alpha0, self.fixed_alpha = logq, alpha0, fixed_alpha
+        self.work = None
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the last prefix asked for fell back to its best point."""
+        return self.values[self.best] == math.inf
+
+    def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
+        """Softmin average of the first c points, and its ESS when asked (else NaN)."""
+        fallback = super().at(c)  # the best point, and NaN for its ESS
+        if self.degenerate:
+            return fallback
+        if self.work is None:
+            self.work = np.empty(len(self.values))
+        w = np.subtract(self.values[:c], self.values[self.best], out=self.work[:c])
+        alpha = self.fixed_alpha
+        if alpha is None:
+            alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
+        p = _normalize_into(_log_weights_into(w, alpha, self.logq[:c]))
+        return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
 
 
 def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
@@ -266,7 +267,7 @@ class _RecombinePrefixes:
     before, which is the run's current centre.
     """
 
-    degenerate = weighted = False
+    degenerate = weighted = mixes_and_projects = False  # samples N(mu, sigma2 I), never projects
 
     def __init__(self, points: Array, values: Array, logq: None, batch_size: int):
         self.points, self.values, self.batch_size = points, values, batch_size
@@ -351,7 +352,9 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
 
     Batches of ``batch_size`` points, the driver's argument (the config's
     field is not read), are drawn from q_{k-1}; the first batch comes from q0
-    itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0.
+    itself, later batches from (1 - lambda) N(mu_{k-1}, sigma2 I) + lambda q0,
+    and estimates are projected into the config's box; an estimator that is not
+    ``mixes_and_projects`` (the ES) draws N(mu_{k-1}, sigma2 I)'s own stream, unprojected.
     ``estimator(points, values, logq, *args)`` is the method's prefix
     estimator over the run's record; it gives the estimate at each checkpoint
     and, after each batch, the next center.  Every batch, the one batch of a
@@ -371,7 +374,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
     if config.q0.dimension != d:
         raise ValueError(f"q0 has dimension {config.q0.dimension} but the objective has dimension {d}")
     n = config.budget
-    box = config.projection_box
+    box = config.projection_box if estimator.mixes_and_projects else None
     sigma2 = 1.0 / config.q0.dimension if config.sigma2 is None else config.sigma2
     rng = make_rng(config.seed)
     trace = _blank_trace(config.grid, d)
@@ -390,7 +393,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
             policy = config.q0
         else:
             policy = MixturePolicy(
-                weight=config.mixture_weight,
+                weight=config.mixture_weight if estimator.mixes_and_projects else 0.0,
                 adapted=IsotropicGaussian(mean=mu, variance=sigma2),
                 envelope=config.q0,
             )
@@ -468,6 +471,4 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
     """
     if config.batch_size < 2:
         raise ValueError("isotropic ES requires batch_size >= 2")
-    # A mixture of weight 0 draws the adapted Gaussian's own stream.
-    config = dataclasses.replace(config, mixture_weight=0.0, projection_box=None)
     return _run_adaptive(objective, config, config.batch_size, _RecombinePrefixes, config.batch_size)

@@ -35,13 +35,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Axis-aligned box, per-dimension grid size (odd), and temperature."""
+    """Axis-aligned box, per-dimension grid size (odd), and temperature.
+
+    The spec keeps its own copy of the box, a tuple of (lo, hi) float pairs.
+    """
 
     domain: Tuple[Tuple[float, float], ...]
     grid_points: int = 1601
     alpha: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "domain", tuple((float(lo), float(hi)) for lo, hi in self.domain))
         d = len(self.domain)
         if d < 1 or d > 2:
             raise ValueError("quadrature supports d in {1, 2} only")

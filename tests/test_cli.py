@@ -59,7 +59,7 @@ def test_optimize_center_dimension_mismatch_is_usage_error(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("center", ["1,abc", "nan,0"])
+@pytest.mark.parametrize("center", ["1,abc", "nan,0", pytest.param("", id="empty")])
 def test_optimize_bad_center_names_the_flag(capsys, center):
     code, out, err = run_cli(capsys, "optimize", "--d", "2", "--method", "liso",
                              "--n", "100", "--q0-center", center)
@@ -158,6 +158,20 @@ def test_optimize_bad_external_command_is_usage_error(capsys, command, message):
                              "--method", "liso", "--n", "100")
     assert code == 2 and not out
     assert message in err
+
+
+def test_optimize_external_child_that_answers_twice_fails(capsys):
+    # Two answers per request: the later requests would be paired with stale answers.
+    child = " ".join(shlex.quote(a) for a in (sys.executable, "-u", "-c", (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    xs = [float(v) for v in line.split()]\n"
+        "    print(repr(sum(v * v for v in xs)), flush=True)\n"
+        "    print('1.0', flush=True)\n")))
+    code, out, err = run_cli(capsys, "optimize", "--d", "2", "--n", "100", "--method", "liso",
+                             "--external", child)
+    assert code == 1 and not out
+    assert "error: child answered more lines than it was sent: " in err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -278,6 +292,30 @@ def test_bench_missing_config_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "bench", "--config", "/nonexistent/x.yaml")
     assert code == 2
     assert "error:" in err
+
+
+def test_bench_config_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bench", "--config", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--csv-out", "", "--svg-out", ""), "--csv-out must name a file, got ''"),
+    (("--csv-out", "r.csv", "--svg-out", ""), "--svg-out must name a file, got ''"),
+    ((), "csv_out must name a file, got ''"),
+], ids=["csv_flag", "svg_flag", "spec_field"])
+def test_bench_empty_output_path_is_usage_error(tmp_path, capsys, monkeypatch, flags, message):
+    # An empty path is a path, not a request for the default report.csv.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.yaml").write_text(
+        "objective: sphere\ndimension: 2\nmethods: [random_search]\nbudget: 100\nseed: 1\n"
+        "alpha0: 1.0\nq0_center: [0.5, 0.5]\nq0_variance: 1.0\ntrials: 2\n"
+        + ("" if flags else "csv_out: ''\n"))
+    code, out, err = run_cli(capsys, "bench", "--config", "exp.yaml", *flags)
+    assert code == 2 and out == ""
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.yaml"]
 
 
 def test_bench_unknown_key_is_usage_error(tmp_path, capsys):
@@ -525,7 +563,7 @@ def test_oracle_infinite_alpha_is_usage_error(capsys):
     assert "alpha must be positive and finite" in err and not out
 
 
-@pytest.mark.parametrize("alphas", ["1,x", "1,inf"])
+@pytest.mark.parametrize("alphas", ["1,x", "1,inf", pytest.param("", id="empty")])
 def test_oracle_bad_alphas_names_the_flag(capsys, alphas):
     code, out, err = run_cli(capsys, "oracle", "--fn", "quad-cubic", "--alphas", alphas)
     assert code == 2

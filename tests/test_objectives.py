@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -89,6 +91,29 @@ def test_dimension_must_be_an_integer():
     assert type(objective.dimension) is int and objective.dimension == 3
 
 
+def test_objective_keeps_its_own_read_only_minimizer():
+    minimizer = np.zeros(2)
+    objective = Objective(2, lambda P: P[:, 0], known_minimizer=minimizer)
+    minimizer[0] = 5.0  # the caller's array, not the objective's
+    assert objective.known_minimizer.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        objective.known_minimizer[0] = 5.0
+    assert Objective(1, lambda P: P[:, 0], known_minimizer=[3]).known_minimizer.dtype == float
+
+
+@pytest.mark.parametrize("minimizer,shown", [
+    (np.zeros(3), "[0. 0. 0.]"),
+    (np.zeros((1, 2)), "[[0. 0.]]"),
+    (0.0, "0."),
+    (np.array([np.nan, 0.0]), "[nan  0.]"),
+    (np.array([np.inf, 0.0]), "[inf  0.]"),
+], ids=["too_long", "matrix", "scalar", "nan", "inf"])
+def test_objective_refuses_a_minimizer_that_is_not_a_finite_vector_of_its_dimension(minimizer, shown):
+    message = f"known_minimizer must be a finite vector of length 2, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Objective(2, lambda P: P[:, 0], known_minimizer=minimizer)
+
+
 def test_eval_counter_counts_every_evaluation():
     obj = benchmark("sphere", 2)
     for k in range(1, 6):
@@ -173,6 +198,21 @@ EXIT_AFTER_10_STUB = [sys.executable, "-u", "-c", (
 ANSWER_WITHOUT_READING_STUB = [sys.executable, "-u", "-c", (
     "while True:\n"
     "    print('0.0', flush=True)\n"
+)]
+
+# Answers each request twice, in one write.
+TWO_ANSWERS_STUB = [sys.executable, "-u", "-c", (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    sys.stdout.write('1.0\\n2.0\\n'); sys.stdout.flush()\n"
+)]
+
+# Answers each request once, then one more line when its input ends.
+EXTRA_LINE_AT_EXIT_STUB = [sys.executable, "-u", "-c", (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print('1.0', flush=True)\n"
+    "print('bye', flush=True)\n"
 )]
 
 GARBAGE_AT_5_STUB = [sys.executable, "-u", "-c", (
@@ -340,3 +380,52 @@ def test_external_close_kills_a_child_that_does_not_exit(monkeypatch, pidfd):
     obj = external_objective(IGNORE_EOF_STUB, 2)
     finish_within(10, lambda: obj.close())
     assert obj._proc.returncode is not None and obj._proc.returncode < 0  # killed
+
+
+def test_external_surplus_answer_in_the_batch_fails_it():
+    with external_objective(TWO_ANSWERS_STUB, 2) as obj:
+        with pytest.raises(EvaluationError, match="^child answered more lines than it was sent: '2.0'$"):
+            obj(np.zeros(2))
+        with pytest.raises(EvaluationError, match="child process has exited"):
+            obj(np.zeros(2))
+        assert obj.eval_count == 0
+
+
+def test_external_surplus_line_after_the_last_answer_fails_close():
+    obj = external_objective(EXTRA_LINE_AT_EXIT_STUB, 2)
+    assert obj.evaluate_batch(np.zeros((3, 2))).tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(EvaluationError, match="^child answered more lines than it was sent: 'bye'$"):
+        obj.close()
+    assert obj._proc.returncode == 0
+    obj.close()  # the child is stopped and its output read: nothing more to report
+
+
+def test_external_close_does_not_mask_an_error_already_propagating():
+    with pytest.raises(KeyError, match="the caller's own"):
+        with external_objective(EXTRA_LINE_AT_EXIT_STUB, 2) as obj:
+            obj(np.zeros(2))
+            raise KeyError("the caller's own")
+    assert obj._proc.returncode == 0
+
+
+def test_external_close_is_not_held_by_a_grandchild_holding_the_pipe(tmp_path):
+    # The grandchild inherits the child's stdout and outlives it, so the pipe
+    # never reaches end-of-file while it runs.
+    pid_file = tmp_path / "grandchild"
+    command = [sys.executable, "-u", "-c", (
+        "import subprocess, sys\n"
+        "g = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        f"open({str(pid_file)!r}, 'w').write(str(g.pid))\n"
+        "for line in sys.stdin:\n"
+        "    print('1.0', flush=True)\n"
+    )]
+    obj = external_objective(command, 2)
+    try:
+        assert obj(np.zeros(2)) == 1.0
+        finish_within(10, obj.close)
+        assert obj._proc.returncode == 0
+    finally:
+        obj._proc.kill()
+        obj._proc.wait()
+        if pid_file.exists():
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)

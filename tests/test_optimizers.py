@@ -323,6 +323,19 @@ def test_config_rejects_a_bad_projection_box_before_any_evaluation(driver, box):
     assert objective.eval_count == 0
 
 
+def test_a_config_keeps_its_own_read_only_projection_box():
+    lo, hi = np.array([-0.1, -0.1]), np.array([0.1, 0.1])
+    cfg = adaptive_cfg(600, 13, projection_box=(lo, hi))
+    _, expected = run_liso(benchmark("sphere", 2), adaptive_cfg(600, 13, projection_box=(-0.1, 0.1)))
+    lo[0] = np.nan  # the caller's array, not the config's
+    _, trace = run_liso(benchmark("sphere", 2), cfg)
+    assert trace.estimates.tobytes() == expected.estimates.tobytes()
+    for bound in cfg.projection_box:
+        assert bound.dtype == float and not bound.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.projection_box[1][0] = -1.0
+
+
 @pytest.mark.parametrize("driver", [run_liso, run_adaptive_liso])
 def test_scalar_projection_box_equals_its_per_dimension_box(driver):
     cfg = adaptive_cfg(600, 13, B=100, projection_box=(0.2, 0.9))
@@ -439,6 +452,19 @@ def test_es_runs_and_respects_budget():
         run_isotropic_es(benchmark("sphere", 3),
                          AdaptiveConfig(budget=10, alpha0=1.0, q0=cfg.q0,
                                         seed=1, sigma2=0.3, batch_size=1))
+
+
+def test_es_runs_on_the_config_it_is_given_and_ignores_mixture_and_box(monkeypatch):
+    cfg = adaptive_cfg(600, 5, lam=0.5, projection_box=(-0.05, 0.05))
+    plain = replace(cfg, mixture_weight=0.0, projection_box=None)
+    built, post_init = [], AdaptiveConfig.__post_init__
+    monkeypatch.setattr(AdaptiveConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
+    est, trace = run_isotropic_es(benchmark("sphere", 2), cfg)
+    assert not built  # no config is rebuilt per call
+    plain_est, plain_trace = run_isotropic_es(benchmark("sphere", 2), plain)
+    assert est.tobytes() == plain_est.tobytes()
+    assert trace.estimates.tobytes() == plain_trace.estimates.tobytes()
+    assert np.abs(trace.estimates).max() > 0.05  # never projected
 
 
 def test_one_config_serves_every_driver():
@@ -659,3 +685,26 @@ def test_softmin_prefixes_equal_the_public_estimators_on_every_prefix(alpha0, fi
         expected = _weighted_sum(normalized_weights(lw), points[:c])
         assert estimate.tobytes() == expected.tobytes(), c
         assert ess == effective_sample_size(lw), c
+
+
+@pytest.mark.parametrize("logq", ["absent", "zero", "random"])
+def test_softmin_prefixes_on_signed_zeros_after_an_inf_head(logq):
+    # The first prefix is all +inf and falls back to its first point; from the
+    # second on, the running best is the -0.0 at index 1, which a 0.0 and a
+    # -0.0 later tie.  Each prefix equals a from-scratch re-weighting, bit for bit.
+    rng = make_rng(29)
+    n, d, alpha0 = 60, 3, 1.5
+    points = rng.standard_normal((n, d))
+    values = rng.uniform(0.0, 4.0, n)
+    values[:3] = np.inf, -0.0, 0.0
+    values[[20, 40]] = 0.0, -0.0
+    given = {"absent": None, "zero": np.zeros(n), "random": rng.standard_normal(n)}[logq]
+    trace = liso_from_sample(points, values, np.arange(1, n + 1), logq=given, alpha0=alpha0)
+    assert trace.estimates[0].tobytes() == points[0].tobytes() and math.isnan(trace.ess[0])
+    assert not trace.degenerate_final
+    logq = np.zeros(n) if given is None else given
+    for c in range(2, n + 1):
+        lw = laplace_log_weights(alpha_schedule(alpha0, c, d), values[:c], logq[:c])
+        expected = _weighted_sum(normalized_weights(lw), points[:c])
+        assert trace.estimates[c - 1].tobytes() == expected.tobytes(), c
+        assert trace.ess[c - 1] == effective_sample_size(lw), c

@@ -74,6 +74,21 @@ def quadratic():
     return benchmark("sphere", 1)
 
 
+def test_spec_keeps_its_own_copy_of_the_box():
+    domain = [[-3, 3.0]]
+    spec = QuadratureSpec(domain, 5, 1.0)
+    domain[0][1] = -5.0  # the caller's list, not the spec's
+    assert spec.domain == ((-3.0, 3.0),) and type(spec.domain[0][0]) is float
+
+
+def test_the_shared_cubic_minimizer_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        cubic_perturbed_quadratic.known_minimizer[0] = 1.0
+    gaps = laplace_gap(cubic_perturbed_quadratic, cubic_perturbed_quadratic.known_minimizer,
+                       CUBIC_DOMAIN, [4.0, 8.0], grid_points=401)
+    assert gaps == pytest.approx([0.0400, 0.0193], abs=1e-4)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(domain=((0.0, 1.0),) * 3)  # d > 2
