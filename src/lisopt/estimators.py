@@ -25,9 +25,9 @@ through, refuses a NaN or +inf log-weight; the average and the bootstrap
 check their points and log-weights together (``_checked_pairs``), the
 bootstrap once for all its resamples.  The softmin drivers validate
 values and log-densities once, when each batch is evaluated, not on every
-re-weighting; they anchor each prefix at a running minimum of its values
-and run the steps on one work buffer per run, which holds the shifted values
-``values - ref`` and then, in place, the weights.
+re-weighting; they anchor each prefix at its first best value,
+``values[best]``, and run the steps on one work buffer per run, which holds
+the shifted values ``values - values[best]`` and then, in place, the weights.
 
 ``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
 product in lisopt goes through it, so output bits do not depend on the

@@ -37,7 +37,7 @@ import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -469,34 +469,41 @@ def emit_csv(report: ExperimentReport, path: str) -> None:
 
 def parse_csv(path: str) -> ExperimentReport:
     """Inverse of emit_csv: ``parse_csv(path) == report``."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:  # missing, a directory, not readable
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or malformed header")
-    rows: Dict[str, List[Tuple[int, float, float, float, int]]] = {}
+    rows: Dict[str, Dict[int, Tuple[int, float, float, float, int]]] = {}
     for line in lines[1:]:
         if not line:
             continue
-        try:  # six fields, each of its type
+        try:  # six fields, each of its type, and counts of at least 1
             method, n, mean, std, ci, trials = line.split(",")
             row = (int(n), float(mean), float(std), float(ci), int(trials))
+            if row[0] < 1 or row[4] < 1:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: malformed row {line!r}") from None
-        entries = rows.setdefault(method, [])
-        if entries and row[4] != entries[0][4]:
+        entries = rows.setdefault(method, {})  # by n_evals
+        first = next(iter(entries.values()), row)
+        if row[4] != first[4]:
             raise ValueError(f"{path}: malformed row {line!r}: "
-                             f"the first row of {method} has {entries[0][4]} trials")
-        entries.append(row)
+                             f"the first row of {method} has {first[4]} trials")
+        if row[0] in entries:
+            raise ValueError(f"{path}: malformed row {line!r}: {method} has a row at n_evals {row[0]} already")
+        entries[row[0]] = row
     methods = {}
     for method, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        arr = np.array(entries, dtype=float)
+        arr = np.array([entries[n] for n in sorted(entries)], dtype=float)
         methods[method] = MethodStats(
             checkpoints=arr[:, 0].astype(int),
             mean_mse=arr[:, 1],
             std=arr[:, 2],
             ci_half_width=arr[:, 3],
-            trials=int(entries[0][4]),
+            trials=int(arr[0, 4]),
         )
     return ExperimentReport(methods=methods)
 

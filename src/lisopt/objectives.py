@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
+import time
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -193,15 +193,14 @@ class ExternalObjective(Objective):
     is an error, seen in the batch if it came with the batch's answers and at
     the latest by :meth:`close`, once the child has exited.
 
-    Requests are pipelined one batch at a time: all m lines of a batch are
-    written by a background thread while the m answers are read, so a batch
-    larger than the pipe buffer cannot deadlock.  The child must therefore
-    answer lines in order and flush each answer without waiting for more
-    input, and read every line of a batch: once all answers are in, a child
-    still not reading after 5 s is killed.  Any error in the middle of a batch
-    kills the child, because its unread answers would pair later requests
-    with stale responses; every later call then fails with "child process has
-    exited".
+    Requests are pipelined one batch at a time: one poll loop writes the m
+    lines of a batch while it reads the m answers, so a batch larger than the
+    pipe buffer cannot deadlock.  The child must therefore answer lines in
+    order and flush each answer without waiting for more input, and read
+    every line of a batch: once all answers are in, a child still not reading
+    after 5 s is killed.  Any error in the middle of a batch kills the child,
+    because its unread answers would pair later requests with stale
+    responses; every later call then fails with "child process has exited".
 
     The child is single-threaded: concurrent use requires one child per
     worker.  Call :meth:`close` (or use as a context manager) to terminate
@@ -223,73 +222,72 @@ class ExternalObjective(Objective):
         if not argv:
             raise ValueError(f"the command {command!r} names no program")
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise EvaluationError(f"failed to spawn {argv!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)  # _exchange writes what the pipe takes
 
-    def _write(self, payload: str, failures: list) -> None:
-        try:
-            self._proc.stdin.write(payload)
-            self._proc.stdin.flush()
-        except OSError as exc:  # BrokenPipeError when the child is gone
-            failures.append(exc)
-
-    def _read_answers(self, m: int) -> Tuple[Array, bytes]:
-        """The child's next m answers, each checked as soon as its line is in,
-        and the bytes that came with them past the m-th line.
-
-        They are read from the pipe's descriptor, not through ``stdout``'s
-        buffer, so nothing the child sent is left unseen there.
+    def _exchange(self, payload: bytes, m: int) -> Array:
+        """Send ``payload`` while reading the child's next m answers, each
+        checked as soon as its line is in, through the pipes' descriptors, so
+        nothing the child sent is left unseen in a buffer.
         """
-        fd, values, tail = self._proc.stdout.fileno(), [], b""
-        while len(values) < m:
-            try:
-                chunk = os.read(fd, 1 << 16)
-            except OSError as exc:
-                raise EvaluationError(f"child pipe failure: {exc}") from exc
-            if not chunk:  # the output ended; an unterminated last line is an answer too
-                values += map(_answer, [tail] if tail else [])
-                if len(values) < m:
-                    raise EvaluationError("child closed its output stream")
-                return np.array(values), b""
-            *lines, tail = (tail + chunk).split(b"\n", m - len(values))
-            values += map(_answer, lines)
-        return np.array(values), tail
+        import select  # here, not at the top, as in __init__
+
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(stdin, select.POLLOUT)
+        poller.register(stdout, select.POLLIN)
+        view, sent, failure = memoryview(payload), 0, None
+        values, tail, deadline = [], b"", None
+        while len(values) < m or (sent < len(view) and failure is None):
+            if len(values) == m and deadline is None:  # stop reading; the write has its grace
+                poller.unregister(stdout)
+                deadline = time.monotonic() + _CHILD_GRACE_S
+            wait = None if deadline is None else max(deadline - time.monotonic(), 0.0) * 1000
+            events = poller.poll(wait)
+            if not events:
+                raise EvaluationError(f"child answered all {m} lines without reading them "
+                                      f"within {_CHILD_GRACE_S} s")
+            for fd, _ in events:
+                if fd == stdin:
+                    try:
+                        sent += os.write(stdin, view[sent:])
+                    except BlockingIOError:  # the pipe took nothing yet
+                        pass
+                    except OSError as exc:  # BrokenPipeError when the child is gone
+                        failure = exc
+                    if sent == len(view) or failure is not None:
+                        poller.unregister(stdin)
+                    continue
+                try:
+                    chunk = os.read(stdout, 1 << 16)
+                except OSError as exc:
+                    raise EvaluationError(f"child pipe failure: {exc}") from exc
+                if not chunk:  # the output ended; an unterminated last line is an answer too
+                    values += map(_answer, [tail] if tail else [])
+                    if len(values) < m:
+                        raise EvaluationError("child closed its output stream")
+                    tail = b""
+                else:
+                    *lines, tail = (tail + chunk).split(b"\n", m - len(values))
+                    values += map(_answer, lines)
+        if failure is not None:  # only now, so that a closed output stream wins
+            raise EvaluationError(f"child pipe failure: {failure}") from failure
+        _refuse_surplus(tail)
+        return np.array(values)
 
     def _batch_roundtrip(self, points: Array) -> Array:
         if self._proc.poll() is not None:
             raise EvaluationError("child process has exited")
         # repr of a Python float is exactly format_float.
         payload = "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist())
-        failures: list = []
-        writer = threading.Thread(target=self._write, args=(payload, failures), daemon=True)
-        writer.start()
         try:
-            values, surplus = self._read_answers(len(points))
-            # A child that has answered every line has read every line, so the
-            # writer is done; one still writing means the child ignores its input.
-            writer.join(timeout=_CHILD_GRACE_S)
-            if writer.is_alive():
-                raise EvaluationError(
-                    f"child answered all {len(points)} lines without reading them "
-                    f"within {_CHILD_GRACE_S} s"
-                )
-            if failures:
-                raise EvaluationError(f"child pipe failure: {failures[0]}") from failures[0]
-            _refuse_surplus(surplus)
+            return self._exchange(payload.encode(), len(points))
         except BaseException:
-            # Killing the child first unblocks a writer stuck on a full pipe.
             self._proc.kill()
-            writer.join()
             self._stop()
             raise
-        return values
 
     def close(self) -> None:
         """End the child's input, wait up to 5 s for it to exit, then kill it;

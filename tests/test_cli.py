@@ -618,7 +618,8 @@ def test_slope_refuses_a_non_finite_mean(tmp_path, capsys):
     assert "mean MSE must be positive and finite throughout the fit range" in err
 
 
-@pytest.mark.parametrize("field, value", [("mean_mse", "x"), ("n_evals", "1.5"), ("trials", "4")])
+@pytest.mark.parametrize("field, value", [("mean_mse", "x"), ("n_evals", "1.5"), ("trials", "4"),
+                                          ("n_evals", "0"), ("n_evals", "-100")])
 def test_slope_names_the_file_and_row_of_a_malformed_row(tmp_path, capsys, field, value):
     path = tmp_path / "r.csv"
     synthetic_csv(str(path))
@@ -630,6 +631,29 @@ def test_slope_names_the_file_and_row_of_a_malformed_row(tmp_path, capsys, field
     code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m")
     assert code == 2 and not out
     assert f"error: {path}: malformed row {lines[3]!r}" in err
+
+
+@pytest.mark.parametrize("case", ["zero_trials", "repeated_n_evals"])
+def test_slope_names_a_row_that_emit_csv_never_writes(tmp_path, capsys, case):
+    path = tmp_path / "r.csv"
+    synthetic_csv(str(path))
+    lines = path.read_text().splitlines()
+    if case == "zero_trials":  # in every row, so that none disagrees with the first
+        lines[1:] = [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]
+        bad = lines[1]
+    else:  # the same checkpoint twice, which a fit would count twice
+        bad = lines[3]
+        lines.append(bad)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m")
+    assert code == 2 and not out
+    assert f"error: {path}: malformed row {bad!r}" in err
+
+
+def test_slope_csv_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "slope", "--csv", str(tmp_path), "--method", "m")
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_slope_unknown_method_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Static hygiene of ``src/lisopt``: every import is used, every private
-module-level name is used somewhere in the package, and no line silences a
-linter or the coverage count (``noqa``, ``pragma: no cover``)."""
+module-level name is used somewhere in the package, no line silences a
+linter or the coverage count (``noqa``, ``pragma: no cover``), and no module
+names ``threading.Thread``."""
 
 import ast
 import re
@@ -67,3 +68,14 @@ def test_no_line_silences_a_linter():
               for i, line in enumerate(path.read_text().splitlines(), 1)
               if re.search(r"#.*\b(noqa|pragma:\s*no\s*cover)\b", line, re.IGNORECASE)]
     assert marked == []
+
+
+def test_no_module_names_a_thread():
+    # An external batch is one poll loop, and trials fan out to processes;
+    # a lock (estimators' ``threading.Lock``) is allowed.
+    named = [f"{module}:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "Thread"
+             and isinstance(node.value, ast.Name) and node.value.id == "threading"
+             or isinstance(node, ast.ImportFrom) and node.module == "threading"
+             and any(alias.name == "Thread" for alias in node.names)]
+    assert named == []

@@ -200,6 +200,15 @@ ANSWER_WITHOUT_READING_STUB = [sys.executable, "-u", "-c", (
     "    print('0.0', flush=True)\n"
 )]
 
+# Answers 20,000 requests without reading any, then closes its input and
+# stays alive, so its output never ends.
+ANSWER_THEN_CLOSE_INPUT_STUB = [sys.executable, "-u", "-c", (
+    "import os, sys, time\n"
+    "sys.stdout.write('1.0\\n' * 20000); sys.stdout.flush()\n"
+    "os.close(0)\n"
+    "time.sleep(60)\n"
+)]
+
 # Answers each request twice, in one write.
 TWO_ANSWERS_STUB = [sys.executable, "-u", "-c", (
     "import sys\n"
@@ -338,8 +347,8 @@ def test_external_error_mid_batch_closes_the_objective():
 
 def test_external_child_that_never_reads_is_killed():
     # The answers arrive at once, but ~1.5 MB of requests never leave the
-    # writer: the child must be killed after the grace period instead of the
-    # writer being joined forever.
+    # parent: the child must be killed after the grace period instead of the
+    # write being waited on forever.
     def evaluate():
         with external_objective(ANSWER_WITHOUT_READING_STUB, 4) as obj:
             with pytest.raises(EvaluationError, match="without reading"):
@@ -351,6 +360,32 @@ def test_external_child_that_never_reads_is_killed():
         return True
 
     assert finish_within(30, evaluate)
+
+
+def test_external_child_that_closes_its_input_fails_the_write():
+    # The child answers every line, but the rest of the ~320 kB of requests
+    # meets a closed pipe.
+    def evaluate():
+        obj = external_objective(ANSWER_THEN_CLOSE_INPUT_STUB, 4)
+        with pytest.raises(EvaluationError, match=r"^child pipe failure: \[Errno 32\] Broken pipe$"):
+            obj.evaluate_batch(np.ones((20_000, 4)))
+        assert obj._proc.returncode is not None  # killed and reaped
+        assert obj.eval_count == 0
+        return True
+
+    assert finish_within(30, evaluate)
+
+
+def test_external_batch_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"a batch started a thread: {thread!r}")
+
+    points = np.random.default_rng(4).standard_normal((20_000, 4))  # past the pipe buffer
+    with external_objective(LOOP_SPHERE_STUB, 4) as obj:
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        values = obj.evaluate_batch(points)
+        monkeypatch.undo()
+    assert np.array_equal(values, benchmark("sphere", 4).evaluate_batch(points))
 
 
 @pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "no_pidfd"])
