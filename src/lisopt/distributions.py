@@ -33,11 +33,12 @@ are never shared.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import _positive_finite, _sq_dev_sum
+from .estimators import _count, _positive_finite, _sq_dev_sum
 
 Array = np.ndarray
 
@@ -54,12 +55,12 @@ def _splitmix64(z: int) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     """A PCG64 generator for the given 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+    return np.random.Generator(np.random.PCG64(operator.index(seed) & _MASK64))
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Seed for sub-stream ``index`` of a base seed: seed XOR splitmix64(index)."""
-    return (seed & _MASK64) ^ _splitmix64(index)
+    return (operator.index(seed) & _MASK64) ^ _splitmix64(index)
 
 
 def _equal_by_value(self, other) -> bool:
@@ -116,8 +117,7 @@ class IsotropicGaussian:
         return np.subtract(-0.5 * d * np.log(2.0 * np.pi * self.variance), sq, out=sq)
 
     def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        _count("count", count)
         z = rng.standard_normal((count, self.dimension), out=out)
         z *= math.sqrt(self.variance)
         z += self.mean
@@ -159,8 +159,7 @@ class MixturePolicy:
         return np.add(m, np.log(np.exp(a - m) + np.exp(b - m)), out=out)
 
     def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        _count("count", count)
         # Degenerate mixtures skip the component-selection uniforms so that
         # their sample stream coincides with sampling the component directly.
         if self.weight == 0.0:

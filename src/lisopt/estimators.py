@@ -16,10 +16,11 @@ temporary.  The public functions validate their inputs and run these steps
 on fresh arrays.
 
 Each rule on the inputs of the weights is written once, here, and the
-drivers, configs and policies call it too: ``_positive_finite`` for a
-temperature or a variance, ``_checked_points`` for a nonempty (n, d) array
-of finite points, ``_checked_values`` for one finite or +inf value per
-point, and ``_checked_logq`` for one finite log-density per point.
+drivers, configs, policies and objectives call it too: ``_count`` for a count
+or a seed, ``_positive_finite`` for a temperature or a variance,
+``_checked_points`` for a nonempty (n, d) array of finite points,
+``_checked_values`` for one finite or +inf value per point, and
+``_checked_logq`` for one finite log-density per point.
 ``_checked_log_weights``, which every public function of log-weights goes
 through, refuses a NaN or +inf log-weight; the average and the bootstrap
 check their points and log-weights together (``_checked_pairs``), the
@@ -58,6 +59,9 @@ _AVERAGE_BLOCK_ROWS = 100_000
 # process-wide, so two threads saving and restoring it at once could leave
 # either product, or the caller, with the other's count.
 _BLAS_LOCK = threading.Lock()
+
+# The largest count: counts size and index numpy arrays, whose indices are int64.
+_INT64_MAX = 2**63 - 1
 
 
 class DegenerateWeightsError(ValueError):
@@ -211,6 +215,17 @@ def _kish_ess(p: Array) -> float:
     return float(1.0 / p.sum())
 
 
+def _count(name: str, x, least: Optional[int] = 1) -> int:
+    """``x`` as an int: an ``int`` or numpy integer, not a bool, from ``least``
+    to 2**63 - 1, the rule for a count; any integer when ``least`` is None,
+    the rule for a seed.  Raises ValueError naming ``name`` otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if least is not None and not least <= x <= _INT64_MAX:
+        raise ValueError(f"{name} must be >= {least}" if x < least else f"{name} must be at most 2**63 - 1")
+    return int(x)
+
+
 def _positive_finite(name: str, x) -> None:
     """Raises ValueError unless x is positive and finite: the rule for a
     temperature or a variance."""
@@ -319,8 +334,7 @@ def bootstrap_stderr(
     The inputs are checked once, before the first resample draws from ``rng``,
     and so is ``resamples``: a standard error needs at least two.
     """
-    if resamples < 2:
-        raise ValueError(f"resamples must be >= 2, got {resamples}")
+    _count("resamples", resamples, 2)
     points, lw = _checked_pairs(points, log_weights)
     n = len(points)
     estimates = np.empty((resamples, points.shape[1]))

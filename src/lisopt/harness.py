@@ -35,6 +35,7 @@ import functools
 import math
 import numbers
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -42,6 +43,7 @@ from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_
 import numpy as np
 
 from .distributions import IsotropicGaussian, _equal_by_value, derive_seed
+from .estimators import _INT64_MAX
 from .objectives import Objective, benchmark, benchmark_names, format_float
 from .optimizers import (AdaptiveConfig, _draw_q0, default_checkpoints, run_adaptive_liso,
                          run_adaptive_random_search, run_isotropic_es, run_liso, run_random_search)
@@ -61,10 +63,9 @@ METHODS = {
 
 
 class ConfigError(ValueError):
-    """An experiment spec is malformed."""
+    """An experiment spec, or a file lisopt reads, is malformed or cannot be read."""
 
 
-_INT64_MAX = 2**63 - 1
 # default_checkpoints computes this many grid points before it deduplicates them.
 _MAX_CHECKPOINT_COUNT = 10**6
 
@@ -112,6 +113,23 @@ def _field_kinds(cls) -> Dict[str, object]:
     """The annotation of each field of ``cls``, resolved once (they are strings here)."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _read(path: str) -> str:
+    """The text of a spec or CSV file, decoded as UTF-8 whatever the locale."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not readable, not UTF-8
+        raise ConfigError(f"cannot read {path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 @dataclass
@@ -211,17 +229,23 @@ class ExperimentSpec:
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentSpec":
-        """Load a flat YAML mapping; unknown keys are errors, not warnings."""
+        """Load a flat YAML mapping; unknown and repeated keys are errors, not
+        warnings (yaml.safe_load would keep the last of a repeated key)."""
         import yaml  # here, not at the top: only spec files need yaml's ~14 ms import
-        try:
-            with open(path, "r") as fh:
-                text = fh.read()
-        except OSError as exc:  # missing, a directory, not readable
-            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-        try:
-            raw = yaml.safe_load(text)
+        loader = yaml.SafeLoader(_read(path))
+        try:  # yaml.safe_load, with the keys checked between composing and constructing
+            node = loader.get_single_node()
+            first = {}
+            for key, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+                if isinstance(key, yaml.ScalarNode) and first.setdefault(key.value, key) is not key:
+                    line, was = key.start_mark.line + 1, first[key.value].start_mark.line + 1
+                    raise ConfigError(f"{path}: key {key.value!r} on line {line} repeats line {was} "
+                                      "(silent typos corrupt experiments)")
+            raw = None if node is None else loader.construct_document(node)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        finally:
+            loader.dispose()
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a YAML mapping of keys to values")
         known = set(cls.__dataclass_fields__)
@@ -235,10 +259,8 @@ class ExperimentSpec:
 
     def to_yaml(self, path: str) -> None:
         import yaml  # here, not at the top: only spec files need yaml's ~14 ms import
-        data = asdict(self)
-        data = {k: v for k, v in data.items() if v is not None}
-        with open(path, "w") as fh:
-            yaml.safe_dump(data, fh, sort_keys=False)
+        data = {k: v for k, v in asdict(self).items() if v is not None}
+        _write(path, yaml.safe_dump(data, sort_keys=False), "spec")
 
 
 @dataclass
@@ -455,25 +477,13 @@ def csv_string(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: str, text: str, what: str) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
-
-
 def emit_csv(report: ExperimentReport, path: str) -> None:
     _write(path, csv_string(report), "CSV")
 
 
 def parse_csv(path: str) -> ExperimentReport:
     """Inverse of emit_csv: ``parse_csv(path) == report``."""
-    try:
-        with open(path, "r") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:  # missing, a directory, not readable
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    lines = _read(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or malformed header")
     rows: Dict[str, Dict[int, Tuple[int, float, float, float, int]]] = {}
@@ -522,6 +532,14 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _FLOAT_MAX, _FLOAT_TINY = sys.float_info.max, math.ulp(0.0)
 
 
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data: &, < and > escaped (by hand:
+    xml.sax.saxutils would pull urllib into every import), and each character
+    that XML 1.0 cannot hold, not even as a reference, replaced by U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)
+
+
 def _svg_coords(xs: Array, ys: Array, xlim, ylim) -> str:
     lx0, lx1 = math.log10(xlim[0]), math.log10(xlim[1])
     ly0, ly1 = math.log10(ylim[0]), math.log10(ylim[1])
@@ -540,9 +558,7 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
     """
     if not report.methods:
         raise ValueError("report has no methods to plot")
-    title = title or "mean squared error vs evaluations"
-    # Escaped by hand: xml.sax.saxutils would pull urllib into every import.
-    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    title = _xml_text(title or "mean squared error vs evaluations")
 
     series = {}
     dropped = []
@@ -585,7 +601,8 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
     for method, annotation in dropped:
-        out.append(f"<!-- warning: dropped {annotation} points for {method} -->")
+        name = re.sub("-(?=-)", "- ", _xml_text(method))  # a comment cannot hold "--"
+        out.append(f"<!-- warning: dropped {annotation} points for {name} -->")
 
     # Axes frame and decade ticks.
     out.append(
@@ -638,7 +655,7 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         )
         out.append(
             f'<text x="{_W - _MR - 114}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{method}</text>'
+            f'font-size="12">{_xml_text(method)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

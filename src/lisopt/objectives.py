@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .estimators import _row_sum, _sq_dev_sum
+from .estimators import _count, _row_sum, _sq_dev_sum
 
 if TYPE_CHECKING:  # the annotation of _exits_within
     import subprocess
@@ -59,11 +59,7 @@ class Objective:
         known_minimizer: Optional[Array] = None,
         name: str = "objective",
     ):
-        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
-            raise ValueError(f"dimension must be an integer, got {dimension!r}")
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dimension = int(dimension)
+        self.dimension = _count("dimension", dimension)
         self._batch = batch_evaluator
         if known_minimizer is not None:
             known_minimizer = np.array(known_minimizer, dtype=float)  # a copy the caller cannot change

@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, _rebuilt_by_value, make_rng
-from .estimators import (_checked_logq, _checked_points, _checked_values, _kish_ess, _log_weights_into,
-                         _normalize_into, _positive_finite, _sq_dev_sum, _weighted_sum)
+from .estimators import (_checked_logq, _checked_points, _checked_values, _count, _kish_ess,
+                         _log_weights_into, _normalize_into, _positive_finite, _sq_dev_sum, _weighted_sum)
 from .objectives import Objective
 
 Array = np.ndarray
@@ -43,16 +43,13 @@ def alpha_schedule(alpha0: float, n: int, d: int) -> float:
     (which shrinks with it).
     """
     _positive_finite("alpha0", alpha0)
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    n, d = _count("n", n), _count("d", d)
     return alpha0 * float(n) ** (2.0 / (d + 2.0))
 
 
 def default_checkpoints(budget: int, count: int = 30, start: int = 100) -> Array:
     """Geometric grid of evaluation counts, deduplicated, ending at budget."""
-    for name, value in (("budget", budget), ("count", count), ("start", start)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
+    budget, count, start = _count("budget", budget), _count("count", count), _count("start", start)
     grid = np.geomspace(min(start, budget), budget, num=count)
     # Only points below the budget are cast: a budget above 2**53 has no exact
     # float, and the float of 2**63 - 1 is 2**63, which no int64 holds.
@@ -64,7 +61,7 @@ def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> A
     """Sorted distinct checkpoints in [1, budget] ending at budget; None: the default grid."""
     if checkpoints is None:
         return default_checkpoints(budget)
-    pts = np.asarray(checkpoints, dtype=int).ravel().tolist()
+    pts = [_count("checkpoints", p, None) for p in np.asarray(checkpoints, dtype=object).ravel()]
     if not pts or min(pts) < 1 or max(pts) > budget:
         raise ValueError("checkpoints must lie in [1, budget]")
     # Not np.unique: its first call imports numpy.ma, about 13 ms.
@@ -128,15 +125,13 @@ class AdaptiveConfig:
     grid: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        for name, least in (("budget", 1), ("batch_size", 1), ("seed", None)):
+            _count(name, getattr(self, name), least)
         _check_temperature(self.alpha0, self.fixed_alpha, self.budget, self.q0.dimension)
         if not (0.0 <= self.mixture_weight <= 1.0):
             raise ValueError("mixture_weight must lie in [0, 1]")
         if self.sigma2 is not None:
             _positive_finite("sigma2", self.sigma2)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.projection_box is not None:
             lo, hi = (np.array(a, dtype=float) for a in self.projection_box)  # copies, not views
             d = self.q0.dimension
@@ -234,8 +229,7 @@ def isotropic_es_recombination_weights(batch_size: int) -> Tuple[int, Array]:
 
     All weights are positive because i <= floor(B/2) < (B+1)/2.
     """
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
+    batch_size = _count("batch_size", batch_size, 2)
     count = batch_size // 2
     i = np.arange(1, count + 1, dtype=float)
     weights = math.log((batch_size + 1) / 2.0) - np.log(i)
@@ -270,7 +264,7 @@ class _RecombinePrefixes:
     degenerate = weighted = mixes_and_projects = False  # samples N(mu, sigma2 I), never projects
 
     def __init__(self, points: Array, values: Array, logq: None, batch_size: int):
-        self.points, self.values, self.batch_size = points, values, batch_size
+        self.points, self.values, self.batch_size = points, values, int(batch_size)
 
     def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
         """The ES estimate after c points, and NaN for its ESS."""
@@ -373,7 +367,7 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
     d = objective.dimension
     if config.q0.dimension != d:
         raise ValueError(f"q0 has dimension {config.q0.dimension} but the objective has dimension {d}")
-    n = config.budget
+    n, batch_size = int(config.budget), int(batch_size)  # a numpy integer count would overflow below
     box = config.projection_box if estimator.mixes_and_projects else None
     sigma2 = 1.0 / config.q0.dimension if config.sigma2 is None else config.sigma2
     rng = make_rng(config.seed)

@@ -335,6 +335,43 @@ def test_bench_invalid_yaml_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("repeat", ["budget: 600", "'budget': 600"])
+def test_bench_repeated_key_is_usage_error(tmp_path, capsys, monkeypatch, repeat):
+    # yaml.safe_load would keep the last value and run 600 evaluations.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.yaml").write_text(
+        "objective: sphere\ndimension: 2\nmethods: [random_search]\nbudget: 400\nseed: 1\n"
+        f"alpha0: 1.0\nq0_center: [0.5, 0.5]\nq0_variance: 1.0\ntrials: 2\n{repeat}\n")
+    code, out, err = run_cli(capsys, "bench", "--config", "exp.yaml")
+    assert code == 2 and out == ""
+    assert err == ("error: exp.yaml: key 'budget' on line 10 repeats line 4 "
+                   "(silent typos corrupt experiments)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.yaml"]
+
+
+@pytest.mark.parametrize("command", ["bench", "slope"])
+def test_file_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys, command):
+    if command == "bench":  # a 0xff byte in a YAML comment
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"# budget \xff\nobjective: sphere\ndimension: 2\nmethods: [liso]\nbudget: 100\n"
+                         b"seed: 1\nalpha0: 1.0\nq0_center: [0.5, 0.5]\nq0_variance: 1.0\ntrials: 2\n")
+        argv = ("bench", "--config", str(path), "--csv-out", str(tmp_path / "r.csv"),
+                "--svg-out", str(tmp_path / "r.svg"))
+    else:  # a 0xff byte in a CSV row
+        path = tmp_path / "r.csv"
+        synthetic_csv(str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"m,", b"m\xff,", 1)
+        path.write_bytes(b"\n".join(lines))
+        argv = ("slope", "--csv", str(path), "--method", "m")
+    at = path.read_bytes().index(b"\xff")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                   "invalid start byte\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_bench_spec_that_is_not_a_mapping_is_usage_error(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     config.write_text("- objective\n- sphere\n")
@@ -457,7 +494,10 @@ def test_bench_nonpositive_checkpoint_field_is_usage_error(tmp_path, capsys, key
     ExperimentSpec(objective="sphere", dimension=2, methods=["liso"], budget=100,
                    seed=1, alpha0=1.0, q0_center=[0.5, 0.5], q0_variance=1.0,
                    trials=2).to_yaml(str(config))
-    config.write_text(config.read_text() + f"{key}: {value}\n")
+    default = {"checkpoint_start": 100, "checkpoint_count": 30}[key]
+    text = config.read_text()
+    assert f"\n{key}: {default}\n" in text  # replaced, not repeated: a repeated key is an error itself
+    config.write_text(text.replace(f"\n{key}: {default}\n", f"\n{key}: {value}\n"))
     code, _, err = run_cli(capsys, "bench", "--config", str(config),
                            "--csv-out", str(tmp_path / "r.csv"),
                            "--svg-out", str(tmp_path / "r.svg"))

@@ -208,8 +208,9 @@ def test_bootstrap_checks_once_and_keeps_the_bits_of_one_average_per_resample():
     bad_lw[499], bad_pts[499, 1] = np.nan, np.inf
     for args, resamples, match in (((pts, bad_lw), 50, "log-weights must be finite or -inf"),
                                    ((bad_pts, lw), 50, "points must be a nonempty"),
-                                   ((pts, lw), 1, "^resamples must be >= 2, got 1$"),
-                                   ((pts, lw), 0, "^resamples must be >= 2, got 0$")):
+                                   ((pts, lw), 1, "^resamples must be >= 2$"),
+                                   ((pts, lw), 0, "^resamples must be >= 2$"),
+                                   ((pts, lw), 2.5, "^resamples must be an integer, got 2\\.5$")):
         draws = make_rng(11)
         with pytest.raises(ValueError, match=match):
             bootstrap_stderr(*args, draws, resamples=resamples)

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import fields, replace
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from lisopt import (
     run_random_search,
 )
 from lisopt import estimators, harness, optimizers
-from lisopt.harness import ConfigError, _run_trial, _worker_count, csv_string, svg_string
+from lisopt.harness import CSV_HEADER, ConfigError, _run_trial, _worker_count, csv_string, svg_string
 
 
 def small_spec(**overrides):
@@ -730,6 +731,39 @@ def test_svg_title_defaults_and_is_taken_from_the_argument():
     report = synthetic_report()
     assert first_text(svg_string(report)) == "mean squared error vs evaluations"
     assert first_text(svg_string(report, title="t")) == "t"
+
+
+def _xml_texts(svg):
+    """The text of each <text> element and each comment of a well-formed SVG."""
+    root = minidom.parseString(svg).documentElement  # raises ExpatError if not well-formed
+    texts = ["".join(c.data for c in t.childNodes) for t in root.getElementsByTagName("text")]
+    return texts, [c.data for c in root.childNodes if c.nodeType == c.COMMENT_NODE]
+
+
+def test_svg_is_well_formed_for_any_method_name(tmp_path):
+    # A method read from a CSV may hold any character but a comma or a line break.
+    path = tmp_path / "r.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(f"a<b&c--x,{n},{m},0.1,0.1,3\n"
+                                                for n, m in ((100, 0.5), (200, 0.0), (400, 0.25))))
+    emit_svg_plot(parse_csv(str(path)), str(tmp_path / "r.svg"), title="a < b & c > d")
+    texts, comments = _xml_texts((tmp_path / "r.svg").read_text())
+    assert texts[0] == "a < b & c > d" and texts[-1] == "a<b&c--x"
+    assert comments == [" warning: dropped 1 nonpositive points for a&lt;b&amp;c- -x "]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(name=st.text(max_size=8), title=st.text(max_size=8))
+def test_svg_is_well_formed_for_any_text(name, title):
+    stats = _one_method_report([0.0, 1.0, 0.5, 0.25], [0.1] * 4).methods["only"]
+    texts, comments = _xml_texts(svg_string(ExperimentReport(methods={name: stats}), title=title))
+
+    def as_parsed(text):  # what XML 1.0 cannot hold is U+FFFD, and a parser reads every line break as \n
+        text = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+
+    assert texts[0] == as_parsed(title or "mean squared error vs evaluations")
+    assert texts[-1] == as_parsed(name)
+    assert len(comments) == 1 and "--" not in comments[0]
 
 
 def test_svg_empty_report_raises():

@@ -1,7 +1,8 @@
 """Static hygiene of ``src/lisopt``: every import is used, every private
 module-level name is used somewhere in the package, no line silences a
-linter or the coverage count (``noqa``, ``pragma: no cover``), and no module
-names ``threading.Thread``."""
+linter or the coverage count (``noqa``, ``pragma: no cover``), no module
+names ``threading.Thread``, and only ``harness._read`` and ``harness._write``
+open a file."""
 
 import ast
 import re
@@ -79,3 +80,23 @@ def test_no_module_names_a_thread():
              or isinstance(node, ast.ImportFrom) and node.module == "threading"
              and any(alias.name == "Thread" for alias in node.names)]
     assert named == []
+
+
+def test_only_the_one_reader_and_writer_open_a_file():
+    # Spec, CSV and SVG files are read by ``harness._read`` (UTF-8, one error
+    # naming the path) and written by ``harness._write``.
+    def opens(tree, enclosing=None):
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from opens(node, node.name)
+                continue
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "open"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
+                yield enclosing, node.lineno
+            yield from opens(node, enclosing)
+
+    found = [(module, function, line) for module, tree in _modules().items()
+             for function, line in opens(tree)]
+    assert sorted((module, function) for module, function, _ in found) == [
+        ("harness", "_read"), ("harness", "_write")], found

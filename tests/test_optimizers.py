@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_default_checkpoints_rejects_count_or_start_below_one(count, start, name
 
 def test_config_resolves_its_checkpoints_once_into_a_read_only_grid():
     q0 = IsotropicGaussian(mean=np.zeros(2), variance=1.0)
-    asked = [333, 10, 100.0, 10]
+    asked = [333, 10, np.int32(100), 10]
     cfg = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=asked)
     assert cfg.checkpoints is asked  # the request is kept, the grid is derived
     assert cfg.grid.tolist() == [10, 100, 333, 500]
@@ -89,9 +90,20 @@ def test_config_resolves_its_checkpoints_once_into_a_read_only_grid():
     default = AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1)
     assert default.checkpoints is None
     assert np.array_equal(default.grid, default_checkpoints(500)) and not default.grid.flags.writeable
-    for bad in ([0], [501], [], [-3, 7]):
+    for bad in ([0], [501], [], [-3, 7], [2**64]):
         with pytest.raises(ValueError, match="checkpoints must lie in"):
             AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=bad)
+    # Integer arrays of any numpy int dtype pass; a float or a bool is refused, not truncated.
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+        assert AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1,
+                              checkpoints=np.array([100, 10], dtype=dtype)).grid.tolist() == [10, 100, 500]
+    for bad, got in (([2.9, 7], "2.9"), ([100.0], "100.0"), (np.array([1.5, 3.0]), "1.5"),
+                     ([7, True], "True"), ([np.float64(3.0)], "np.float64(3.0)")):
+        with pytest.raises(ValueError, match=f"^checkpoints must be an integer, got {re.escape(got)}$"):
+            AdaptiveConfig(budget=500, alpha0=1.0, q0=q0, seed=1, checkpoints=bad)
+    points = np.arange(40.0).reshape(20, 2)
+    with pytest.raises(ValueError, match=r"^checkpoints must be an integer, got 1\.5$"):
+        liso_from_sample(points, np.zeros(20), [1.5], alpha0=1.0)
     # replace() resolves the grid anew, and configs compare by value.
     base = AdaptiveConfig(budget=1000, alpha0=1.0, q0=q0, seed=1)
     for budget in (500, 5000):
