@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:  # a usage error: a ConfigError, or a value a check refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a runtime failure: an aborted trial, a failed child or write

@@ -26,19 +26,19 @@ the call without ``out``.  Densities are batch-only: the log-density at one
 point x is ``log_density_batch(x[None])[0]``.
 
 Policies are values: immutable after construction (a Gaussian keeps its own
-read-only copy of its mean) and safe to share between workers; generators
-are never shared.
+read-only copy of its mean and the float of its variance, a mixture the
+float of its weight) and safe to share between workers; generators are
+never shared.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import _count, _positive_finite, _sq_dev_sum
+from .estimators import _count, _positive_finite, _sq_dev_sum, _unit_interval
 
 Array = np.ndarray
 
@@ -54,13 +54,13 @@ def _splitmix64(z: int) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """A PCG64 generator for the given 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(operator.index(seed) & _MASK64))
+    """A PCG64 generator for a seed, any integer, taken modulo 2**64."""
+    return np.random.Generator(np.random.PCG64(_count("seed", seed, None) & _MASK64))
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Seed for sub-stream ``index`` of a base seed: seed XOR splitmix64(index)."""
-    return (operator.index(seed) & _MASK64) ^ _splitmix64(index)
+    return (_count("seed", seed, None) & _MASK64) ^ _splitmix64(_count("index", index, None))
 
 
 def _equal_by_value(self, other) -> bool:
@@ -98,7 +98,7 @@ class IsotropicGaussian:
         object.__setattr__(self, "mean", mean)
         if mean.ndim != 1 or not np.isfinite(mean).all():
             raise ValueError("mean must be a finite 1-d vector")
-        _positive_finite("variance", self.variance)
+        object.__setattr__(self, "variance", _positive_finite("variance", self.variance))
 
     __eq__ = _equal_by_value
     __reduce__ = _rebuilt_by_value
@@ -138,8 +138,7 @@ class MixturePolicy:
     envelope: IsotropicGaussian
 
     def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError("mixture weight must lie in [0, 1]")
+        object.__setattr__(self, "weight", _unit_interval("mixture weight", self.weight))
         if self.adapted.dimension != self.envelope.dimension:
             raise ValueError("component dimensions differ")
 

@@ -15,20 +15,22 @@ sphere, the rms term of Ackley and the Gaussian log-density make no (n, d)
 temporary.  The public functions validate their inputs and run these steps
 on fresh arrays.
 
-Each rule on the inputs of the weights is written once, here, and the
-drivers, configs, policies and objectives call it too: ``_count`` for a count
-or a seed, ``_positive_finite`` for a temperature or a variance,
-``_checked_points`` for a nonempty (n, d) array of finite points,
+Each rule on the inputs is written once, here, and every other module calls
+it, so only this one tells what a number is: ``_count`` for a count or a
+seed, ``_real`` for a real, ``_positive_finite`` for a temperature or a
+variance and ``_unit_interval`` for a mixture weight (each returns an int or
+a float), ``_checked_points`` for a nonempty (n, d) array of finite points,
 ``_checked_values`` for one finite or +inf value per point, and
 ``_checked_logq`` for one finite log-density per point.
 ``_checked_log_weights``, which every public function of log-weights goes
-through, refuses a NaN or +inf log-weight; the average and the bootstrap
-check their points and log-weights together (``_checked_pairs``), the
-bootstrap once for all its resamples.  The softmin drivers validate
-values and log-densities once, when each batch is evaluated, not on every
-re-weighting; they anchor each prefix at its first best value,
-``values[best]``, and run the steps on one work buffer per run, which holds
-the shifted values ``values - values[best]`` and then, in place, the weights.
+through, takes a nonempty 1-d array and refuses a NaN or +inf log-weight;
+the average and the bootstrap check their points and log-weights together
+(``_checked_pairs``), the bootstrap once for all its resamples.  The
+softmin drivers validate values and log-densities once, when each batch is
+evaluated, not on every re-weighting; they anchor each prefix at its first
+best value, ``values[best]``, and run the steps on one work buffer per run,
+which holds the shifted values ``values - values[best]`` and then, in
+place, the weights.
 
 ``_one_blas_thread`` runs a BLAS product on one OpenBLAS thread.  Every BLAS
 product in lisopt goes through it, so output bits do not depend on the
@@ -40,6 +42,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from typing import Optional, Tuple
 
@@ -226,11 +229,29 @@ def _count(name: str, x, least: Optional[int] = 1) -> int:
     return int(x)
 
 
-def _positive_finite(name: str, x) -> None:
-    """Raises ValueError unless x is positive and finite: the rule for a
-    temperature or a variance."""
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"{name} must be positive and finite")
+def _real(name: str, x, rule: str = "be finite", holds=math.isfinite) -> float:
+    """``x`` as a float: a ``numbers.Real`` (an int, a Fraction, a numpy
+    number) that is not a bool and whose float ``holds``, finite by default.
+    Raises ValueError "``{name} must {rule}``" (or "be a real number") otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):  # the ABC test is the slow one
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        f = float(x)
+    except OverflowError:  # an integer or a fraction beyond the float range
+        raise ValueError(f"{name} must {rule}, got a number beyond the float range") from None
+    if not holds(f):
+        raise ValueError(f"{name} must {rule}, got {x!r}")
+    return f
+
+
+def _positive_finite(name: str, x) -> float:
+    """``x`` as a float (``_real``), positive and finite: the rule for a temperature or a variance."""
+    return _real(name, x, "be positive and finite", lambda f: f > 0.0 and math.isfinite(f))
+
+
+def _unit_interval(name: str, x) -> float:
+    """``x`` as a float (``_real``) in [0, 1]: the rule for a mixture weight."""
+    return _real(name, x, "lie in [0, 1]", lambda w: 0.0 <= w <= 1.0)
 
 
 def _checked_points(points) -> Array:
@@ -269,7 +290,7 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
     +inf, all log-weights are -inf; downstream consumers raise
     :class:`DegenerateWeightsError`.
     """
-    _positive_finite("alpha", alpha)
+    alpha = _positive_finite("alpha", alpha)
     values = _checked_values(values, np.size(values))
     logq = _checked_logq(sample_log_densities, values.size)
     ref = values.min() if values.size else np.inf
@@ -279,8 +300,10 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
 
 
 def _checked_log_weights(log_weights) -> Array:
-    """A float copy of the log-weights, each finite or -inf."""
+    """A float copy of a nonempty 1-d array of log-weights, each finite or -inf."""
     w = np.array(log_weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"log-weights must be a nonempty 1-d array, got shape {w.shape}")
     if not (w < np.inf).all():  # no NaN, no +inf
         raise ValueError("log-weights must be finite or -inf")
     return w
@@ -288,11 +311,10 @@ def _checked_log_weights(log_weights) -> Array:
 
 def _checked_pairs(points, log_weights) -> Tuple[Array, Array]:
     """Finite (n, d) points and a float copy of one log-weight per row."""
-    points = _checked_points(points)
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.shape != (len(points),):
+    points, lw = _checked_points(points), _checked_log_weights(log_weights)
+    if lw.size != len(points):
         raise ValueError("points must be (n, d) with one log-weight per row")
-    return points, _checked_log_weights(lw)
+    return points, lw
 
 
 def normalized_weights(log_weights: Array) -> Array:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import numbers
 import os
 import re
 import sys
@@ -43,7 +42,7 @@ from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_
 import numpy as np
 
 from .distributions import IsotropicGaussian, _equal_by_value, derive_seed
-from .estimators import _INT64_MAX
+from .estimators import _count, _real
 from .objectives import Objective, benchmark, benchmark_names, format_float
 from .optimizers import (AdaptiveConfig, _draw_q0, default_checkpoints, run_adaptive_liso,
                          run_adaptive_random_search, run_isotropic_es, run_liso, run_random_search)
@@ -69,9 +68,9 @@ class ConfigError(ValueError):
 # default_checkpoints computes this many grid points before it deduplicates them.
 _MAX_CHECKPOINT_COUNT = 10**6
 
-# What a value of each annotated kind must be, as an error message says it.
-_KIND_NOUNS = {int: "an integer", float: "a real number", str: "a string",
-               Tuple[float, ...]: "a list of real numbers", Tuple[str, ...]: "a list of method names"}
+# What a value of each kind that is not a number must be, as an error message says it.
+_KIND_NOUNS = {str: "a string", Tuple[float, ...]: "a list of real numbers",
+               Tuple[str, ...]: "a list of method names"}
 
 
 def _checked(name: str, kind, value):
@@ -79,10 +78,9 @@ def _checked(name: str, kind, value):
     ``kind``: an ``int``, ``float`` or ``str``, ``Optional`` of one, or a
     ``Tuple[X, ...]``, which takes a list or a tuple and is stored as a tuple.
 
-    YAML reads 1000.0 as a float, yes as a bool and .inf as a float: a bool
-    is never a number, an integer must be integral and, except a seed, fit
-    an int64, and a real number must be finite.  Anything else raises a
-    ConfigError naming ``name``.
+    YAML reads 1000.0 as a float, yes as a bool and .inf as a float.  An int is
+    a count, at least 1, or a seed (``_count``), and a float a finite real
+    (``_real``); anything else raises a ValueError naming ``name``.
     """
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:  # Optional[X]
@@ -91,21 +89,11 @@ def _checked(name: str, kind, value):
         return tuple(_checked(f"{name} entries", args[0], v) for v in value)
     if kind is str and isinstance(value, str):
         return str(value)
-    number = not isinstance(value, bool)
-    if kind is int and number and isinstance(value, numbers.Integral):
-        # Counts index numpy arrays; a seed is only ever taken modulo 2**64.
-        if name != "seed" and value > _INT64_MAX:
-            raise ConfigError(f"{name} must be at most 2**63 - 1")
-        return int(value)
-    if kind is float and number and isinstance(value, numbers.Real):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
-        if not math.isfinite(x):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-        return x
-    raise ConfigError(f"{name} must be {_KIND_NOUNS[kind]}, got {value!r}")
+    if kind is int:
+        return _count(name, value, None if name == "seed" else 1)
+    if kind is float:
+        return _real(name, value)
+    raise ValueError(f"{name} must be {_KIND_NOUNS[kind]}, got {value!r}")
 
 
 @functools.cache
@@ -137,13 +125,14 @@ class ExperimentSpec:
     """Everything needed to reproduce one experiment.
 
     It checks each field against its annotation (``_checked``) and what
-    only a spec has (objective, methods, trials, checkpoint grid, q0), then
-    owns ``config``: the ``AdaptiveConfig`` of every trial (seed 0), which
-    checks the driver settings itself.  It is not a field, so ``asdict``,
-    ``to_yaml`` and ``==`` skip it.  The sequence fields are tuples, so no
-    field changes in place; assigning one checks the spec again and builds
-    ``config`` anew, as ``dataclasses.replace`` does, and an invalid value
-    raises a ConfigError naming the field and leaves the spec as it was.
+    only a spec has (objective, methods, checkpoint grid, q0), then owns
+    ``config``: the ``AdaptiveConfig`` of every trial (seed 0), which checks
+    the driver settings itself; each check raises a ConfigError.  ``config``
+    is not a field, so ``asdict``, ``to_yaml`` and ``==`` skip it.  The
+    sequence fields are tuples, so no field changes in place; assigning one
+    checks the spec again and builds ``config`` anew, as
+    ``dataclasses.replace`` does, and an invalid value raises a ConfigError
+    naming the field and leaves the spec as it was.
     """
 
     objective: str
@@ -165,57 +154,50 @@ class ExperimentSpec:
     svg_out: Optional[str] = None
 
     def __post_init__(self):
-        for name, kind in _field_kinds(type(self)).items():
-            setattr(self, name, _checked(name, kind, getattr(self, name)))
-        if self.objective not in benchmark_names():
-            raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
-        for i, m in enumerate(self.methods):
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r} in methods; choose from {tuple(METHODS)}")
-            if m in self.methods[:i]:
-                raise ConfigError(f"duplicate method {m!r} in methods")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        for name in ("checkpoint_start", "checkpoint_count"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.checkpoint_count > _MAX_CHECKPOINT_COUNT:
-            raise ConfigError(f"checkpoint_count must be at most {_MAX_CHECKPOINT_COUNT}")
-        for name in ("csv_out", "svg_out"):
-            if getattr(self, name) == "":
-                raise ConfigError(f"{name} must name a file, got ''")
-        if len(self.q0_center) != self.dimension:
-            raise ConfigError("q0_center length must equal dimension")
-        if not self.q0_variance > 0:
-            raise ConfigError("q0_variance must be positive")
-        try:  # the driver settings are checked where every driver checks them
-            self.config = AdaptiveConfig(
+        try:  # every rule raises a ValueError, which a spec raises as a ConfigError
+            for name, kind in _field_kinds(type(self)).items():
+                setattr(self, name, _checked(name, kind, getattr(self, name)))
+            if self.objective not in benchmark_names():
+                raise ValueError(f"unknown objective {self.objective!r}")
+            if not self.methods:
+                raise ValueError("methods must be nonempty")
+            for i, m in enumerate(self.methods):
+                if m not in METHODS:
+                    raise ValueError(f"unknown method {m!r} in methods; choose from {tuple(METHODS)}")
+                if m in self.methods[:i]:
+                    raise ValueError(f"duplicate method {m!r} in methods")
+            if self.checkpoint_count > _MAX_CHECKPOINT_COUNT:
+                raise ValueError(f"checkpoint_count must be at most {_MAX_CHECKPOINT_COUNT}")
+            for name in ("csv_out", "svg_out"):
+                if getattr(self, name) == "":
+                    raise ValueError(f"{name} must name a file, got ''")
+            if len(self.q0_center) != self.dimension:
+                raise ValueError("q0_center length must equal dimension")
+            if not self.q0_variance > 0:
+                raise ValueError("q0_variance must be positive")
+            self.config = AdaptiveConfig(  # checks the driver settings where every driver does
                 self.budget, self.alpha0, IsotropicGaussian(self.q0_center, self.q0_variance),
                 seed=0, sigma2=self.sigma2, mixture_weight=self.mixture_weight,
                 batch_size=self.batch_size, checkpoints=default_checkpoints(
                     self.budget, count=self.checkpoint_count, start=self.checkpoint_start))
+            # A draw lies within 10 standard deviations of its center, so a squared
+            # error stays below d (max|c_i| + 10 sd)^2, sd the larger of q0's and a
+            # given sigma2's (the default, 1/d, is too small to matter); the trials'
+            # sum of squared deviations of those must be finite.
+            center, sd = max(map(abs, self.q0_center)), 0.0
+            for name, variance in (("q0_center", 0.0), ("q0_variance", self.q0_variance),
+                                   ("sigma2", self.sigma2 or 0.0)):
+                sd = max(sd, math.sqrt(variance))
+                bound = self.dimension * (center + 10.0 * sd) * (center + 10.0 * sd)
+                if not math.isfinite(self.trials * bound * bound):
+                    raise ValueError(f"{name} is too large: its draws' squared norms reach {bound:.3g}, "
+                                     f"and their mean and spread over {self.trials} trials would overflow")
+            for m in self.methods:
+                least = METHODS[m][1]
+                if self.batch_size < least:
+                    raise ValueError(f"{m} requires batch_size >= {least}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # A draw lies within 10 standard deviations of its center, so a squared
-        # error stays below d (max|c_i| + 10 sd)^2, sd the larger of q0's and a
-        # given sigma2's (the default, 1/d, is too small to matter); the trials'
-        # sum of squared deviations of those must be finite.
-        center, sd = max(map(abs, self.q0_center)), 0.0
-        for name, variance in (("q0_center", 0.0), ("q0_variance", self.q0_variance),
-                               ("sigma2", self.sigma2 or 0.0)):
-            sd = max(sd, math.sqrt(variance))
-            bound = self.dimension * (center + 10.0 * sd) * (center + 10.0 * sd)
-            if not math.isfinite(self.trials * bound * bound):
-                raise ConfigError(f"{name} is too large: its draws' squared norms reach {bound:.3g}, "
-                                  f"and their mean and spread over {self.trials} trials would overflow")
-        for m in self.methods:
-            least = METHODS[m][1]
-            if self.batch_size < least:
-                raise ConfigError(f"{m} requires batch_size >= {least}")
 
     def __setattr__(self, name, value):
         if name not in self.__dataclass_fields__ or "config" not in self.__dict__:

@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, _rebuilt_by_value, make_rng
-from .estimators import (_checked_logq, _checked_points, _checked_values, _count, _kish_ess,
-                         _log_weights_into, _normalize_into, _positive_finite, _sq_dev_sum, _weighted_sum)
+from .estimators import (_checked_logq, _checked_points, _checked_values, _count, _kish_ess, _log_weights_into,
+                         _normalize_into, _positive_finite, _sq_dev_sum, _unit_interval, _weighted_sum)
 from .objectives import Objective
 
 Array = np.ndarray
@@ -42,8 +42,7 @@ def alpha_schedule(alpha0: float, n: int, d: int) -> float:
     temperature) against the bias of the softmin relative to the true argmin
     (which shrinks with it).
     """
-    _positive_finite("alpha0", alpha0)
-    n, d = _count("n", n), _count("d", d)
+    alpha0, n, d = _positive_finite("alpha0", alpha0), _count("n", n), _count("d", d)
     return alpha0 * float(n) ** (2.0 / (d + 2.0))
 
 
@@ -79,26 +78,27 @@ class RunTrace:
     degenerate_final: bool = False
 
 
-def _check_temperature(alpha0: Optional[float], fixed_alpha: Optional[float], n: int, d: int) -> None:
-    """Checks the softmin temperature of a run of n points in dimension d:
-    ``fixed_alpha`` when given, else ``alpha_schedule(alpha0, k, d)``, which
-    must stay finite up to k = n.  Each of the two that is given must be
-    positive and finite."""
+def _check_temperature(alpha0: Optional[float], fixed_alpha: Optional[float], n: int, d: int) -> Tuple:
+    """``(alpha0, fixed_alpha)`` of a softmin run of n points in dimension d,
+    as positive finite floats where given.  The temperature is ``fixed_alpha``
+    when given, else ``alpha_schedule(alpha0, k, d)``, finite up to k = n."""
     if alpha0 is None and fixed_alpha is None:
         raise ValueError("give alpha0 or fixed_alpha")
-    for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)):
-        if alpha is not None:
-            _positive_finite(name, alpha)
+    alpha0, fixed_alpha = (None if alpha is None else _positive_finite(name, alpha)
+                           for name, alpha in (("alpha0", alpha0), ("fixed_alpha", fixed_alpha)))
     if fixed_alpha is None and not math.isfinite(alpha_schedule(alpha0, n, d)):
         raise ValueError(f"alpha0 is too large: its temperature at {n} evaluations is inf")
+    return alpha0, fixed_alpha
 
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Settings of every driver, checked when the config is built.
 
-    A config is a value: fields keep what the caller gave and cannot be
-    assigned; ``dataclasses.replace`` makes a changed copy, with its own
+    A config is a value whose fields cannot be assigned: the counts keep
+    what the caller gave, while the reals (``alpha0``, ``sigma2``,
+    ``mixture_weight``, ``fixed_alpha``) and the arrays are stored as
+    floats; ``dataclasses.replace`` makes a changed copy, with its own
     ``grid``.  ``sigma2``, the adapted sampler's variance, is 1/d when None,
     d being q0's dimension.  ``fixed_alpha``, when set, replaces the softmin
     drivers' temperature schedule, and ``alpha0`` is then not needed
@@ -127,11 +127,10 @@ class AdaptiveConfig:
     def __post_init__(self):
         for name, least in (("budget", 1), ("batch_size", 1), ("seed", None)):
             _count(name, getattr(self, name), least)
-        _check_temperature(self.alpha0, self.fixed_alpha, self.budget, self.q0.dimension)
-        if not (0.0 <= self.mixture_weight <= 1.0):
-            raise ValueError("mixture_weight must lie in [0, 1]")
-        if self.sigma2 is not None:
-            _positive_finite("sigma2", self.sigma2)
+        alpha0, fixed_alpha = _check_temperature(self.alpha0, self.fixed_alpha, self.budget, self.q0.dimension)
+        self.__dict__.update(alpha0=alpha0, fixed_alpha=fixed_alpha,  # the reals, as floats
+                             mixture_weight=_unit_interval("mixture_weight", self.mixture_weight),
+                             sigma2=None if self.sigma2 is None else _positive_finite("sigma2", self.sigma2))
         if self.projection_box is not None:
             lo, hi = (np.array(a, dtype=float) for a in self.projection_box)  # copies, not views
             d = self.q0.dimension
@@ -264,7 +263,7 @@ class _RecombinePrefixes:
     degenerate = weighted = mixes_and_projects = False  # samples N(mu, sigma2 I), never projects
 
     def __init__(self, points: Array, values: Array, logq: None, batch_size: int):
-        self.points, self.values, self.batch_size = points, values, int(batch_size)
+        self.points, self.values, self.batch_size = points, values, batch_size
 
     def at(self, c: int, with_ess: bool = True) -> Tuple[Array, float]:
         """The ES estimate after c points, and NaN for its ESS."""
@@ -326,7 +325,7 @@ def liso_from_sample(
     points, values = _checked_sample(points, values)
     n = len(points)
     logq = np.zeros(n) if logq is None else _checked_logq(logq, n)
-    _check_temperature(alpha0, fixed_alpha, n, points.shape[1])
+    alpha0, fixed_alpha = _check_temperature(alpha0, fixed_alpha, n, points.shape[1])
     trace = _blank_trace(_resolve_checkpoints(checkpoints, n), points.shape[1])
     prefixes = _SoftminPrefixes(points, values, logq, alpha0, fixed_alpha)
     _record(trace, prefixes, 0, n)
@@ -463,6 +462,5 @@ def run_isotropic_es(objective: Objective, config: AdaptiveConfig) -> Tuple[Arra
     ``mixture_weight`` and ``projection_box``: it always samples
     N(mean, sigma2 I) after the first batch and never projects.
     """
-    if config.batch_size < 2:
-        raise ValueError("isotropic ES requires batch_size >= 2")
-    return _run_adaptive(objective, config, config.batch_size, _RecombinePrefixes, config.batch_size)
+    batch_size = _count("batch_size", config.batch_size, 2)
+    return _run_adaptive(objective, config, batch_size, _RecombinePrefixes, batch_size)

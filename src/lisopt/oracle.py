@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import _one_blas_thread, _positive_finite
+from .estimators import _count, _one_blas_thread, _positive_finite, _real
 from .objectives import Objective
 
 Array = np.ndarray
@@ -37,7 +37,8 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Axis-aligned box, per-dimension grid size (odd), and temperature.
 
-    The spec keeps its own copy of the box, a tuple of (lo, hi) float pairs.
+    The spec keeps its own copy of the box, a tuple of (lo, hi) float pairs,
+    and the float of its temperature.
     """
 
     domain: Tuple[Tuple[float, float], ...]
@@ -45,17 +46,15 @@ class QuadratureSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", tuple((float(lo), float(hi)) for lo, hi in self.domain))
-        d = len(self.domain)
-        if d < 1 or d > 2:
+        box = [[_real("domain box", x, "be finite and nonempty") for x in (lo, hi)] for lo, hi in self.domain]
+        object.__setattr__(self, "domain", tuple(map(tuple, box)))
+        if not 1 <= len(self.domain) <= 2:
             raise ValueError("quadrature supports d in {1, 2} only")
-        for lo, hi in self.domain:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("domain box must be finite and nonempty")
-        if (not isinstance(self.grid_points, (int, np.integer))
-                or self.grid_points < 3 or self.grid_points % 2 == 0):
-            raise ValueError(f"grid_points must be an odd integer >= 3, got {self.grid_points!r}")
-        _positive_finite("alpha", self.alpha)
+        if not all(lo < hi for lo, hi in self.domain):
+            raise ValueError("domain box must be finite and nonempty")
+        if _count("grid_points", self.grid_points, 3) % 2 == 0:
+            raise ValueError(f"grid_points must be odd, got {self.grid_points!r}")
+        object.__setattr__(self, "alpha", _positive_finite("alpha", self.alpha))
 
     @property
     def dimension(self) -> int:
@@ -132,10 +131,9 @@ def laplace_gap(
         raise ValueError(f"minimizer has shape {minimizer.shape} but the box has shape ({len(domain)},)")
     if not np.isfinite(minimizer).all():
         raise ValueError(f"minimizer must be finite, got {minimizer}")
-    alphas = list(alphas)
-    if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
     specs = [QuadratureSpec(domain, grid_points, alpha) for alpha in alphas]
+    if any(s2.alpha <= s1.alpha for s1, s2 in zip(specs, specs[1:])):
+        raise ValueError("alphas must be strictly increasing")
     gaps = np.empty(len(specs))
     if specs:  # one grid serves every temperature, so no call may change it
         grid = _grid(specs[0])

@@ -696,6 +696,13 @@ def test_slope_csv_that_is_a_directory_is_usage_error(tmp_path, capsys):
     assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
+def test_slope_missing_csv_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m")
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
 def test_slope_unknown_method_is_usage_error(tmp_path, capsys):
     path = tmp_path / "r.csv"
     synthetic_csv(str(path))

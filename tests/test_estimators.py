@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -79,15 +80,27 @@ def test_log_weights_and_liso_from_sample_refuse_the_same_inputs(change):
             liso_from_sample(points, kw["values"], logq=kw["logq"], **{name: kw["alpha"]})
 
 
+def weight_calls(lw):
+    """Every public function of log-weights, on ``lw`` (and four points where it takes points)."""
+    pts = np.zeros((4, 1))
+    return [lambda: normalized_weights(lw), lambda: self_normalized_average(pts, lw),
+            lambda: effective_sample_size(lw),
+            lambda: bootstrap_stderr(pts, lw, make_rng(0), resamples=3)]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_public_weight_functions_refuse_nan_and_inf_log_weights(bad):
-    lw = np.array([0.0, bad, bad, bad])
-    pts = np.zeros((4, 1))
-    calls = [lambda: normalized_weights(lw), lambda: self_normalized_average(pts, lw),
-             lambda: effective_sample_size(lw),
-             lambda: bootstrap_stderr(pts, lw, make_rng(0), resamples=3)]
-    for call in calls:
+    for call in weight_calls(np.array([0.0, bad, bad, bad])):
         with pytest.raises(ValueError, match="log-weights must be finite or -inf"):
+            call()
+
+
+@pytest.mark.parametrize("lw, shape", [([], (0,)), (0.0, ()), ([[0.0, 1.0], [2.0, 3.0]], (2, 2))],
+                         ids=["empty", "0-d", "2-d"])
+def test_public_weight_functions_refuse_log_weights_that_are_not_a_nonempty_vector(lw, shape):
+    message = re.escape(f"log-weights must be a nonempty 1-d array, got shape {shape}")
+    for call in weight_calls(lw):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
 

@@ -1,8 +1,8 @@
 """Static hygiene of ``src/lisopt``: every import is used, every private
 module-level name is used somewhere in the package, no line silences a
 linter or the coverage count (``noqa``, ``pragma: no cover``), no module
-names ``threading.Thread``, and only ``harness._read`` and ``harness._write``
-open a file."""
+names ``threading.Thread``, only ``harness._read`` and ``harness._write``
+open a file, and only ``estimators`` tests whether a value is a number."""
 
 import ast
 import re
@@ -100,3 +100,22 @@ def test_only_the_one_reader_and_writer_open_a_file():
              for function, line in opens(tree)]
     assert sorted((module, function) for module, function, _ in found) == [
         ("harness", "_read"), ("harness", "_write")], found
+
+
+def test_only_estimators_tells_what_a_number_is():
+    # ``_count``, ``_real`` and ``_positive_finite`` are the number rules;
+    # every other module calls them instead of testing a type of its own.
+    def number_type(node):
+        if isinstance(node, ast.Tuple):
+            return any(map(number_type, node.elts))
+        if isinstance(node, ast.Name):
+            return node.id == "bool"
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id == "numbers" or node.value.id in ("np", "numpy")
+                     and node.attr in ("integer", "floating")))
+
+    found = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() if module != "estimators"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+             and len(node.args) == 2 and number_type(node.args[1])]
+    assert found == []

@@ -94,10 +94,13 @@ def test_spec_validation():
         QuadratureSpec(domain=((0.0, 1.0),) * 3)  # d > 2
     with pytest.raises(ValueError):
         QuadratureSpec(domain=((1.0, 0.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid_points must be odd, got 4$"):
         QuadratureSpec(domain=((0.0, 1.0),), grid_points=4)
-    for grid_points in (5.5, 5.0, "5"):
-        with pytest.raises(ValueError, match=f"grid_points must be an odd integer >= 3, got {grid_points!r}"):
+    for grid_points in (5.5, 5.0, "5", True):
+        with pytest.raises(ValueError, match=f"^grid_points must be an integer, got {grid_points!r}$"):
+            QuadratureSpec(domain=((0.0, 1.0),), grid_points=grid_points)
+    for grid_points, message in ((1, "must be >= 3"), (2**63 + 1, r"must be at most 2\*\*63 - 1")):
+        with pytest.raises(ValueError, match=f"^grid_points {message}$"):
             QuadratureSpec(domain=((0.0, 1.0),), grid_points=grid_points)
     assert QuadratureSpec(domain=((0.0, 1.0),), grid_points=np.int64(5)).grid_points == 5
     with pytest.raises(ValueError):
