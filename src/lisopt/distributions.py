@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import _count, _positive_finite, _sq_dev_sum, _unit_interval
+from .estimators import _count, _positive_finite, _real_array, _sq_dev_sum, _unit_interval
 
 Array = np.ndarray
 
@@ -93,11 +93,8 @@ class IsotropicGaussian:
     variance: float
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)  # a copy the caller cannot change
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        if mean.ndim != 1 or not np.isfinite(mean).all():
-            raise ValueError("mean must be a finite 1-d vector")
+        object.__setattr__(self, "mean", _real_array(  # a copy the caller cannot change
+            "mean", self.mean, "be a finite 1-d vector", lambda m: m.ndim == 1 and np.isfinite(m).all(), frozen=True))
         object.__setattr__(self, "variance", _positive_finite("variance", self.variance))
 
     __eq__ = _equal_by_value
@@ -109,7 +106,7 @@ class IsotropicGaussian:
 
     def log_density_batch(self, points: Array, out=None) -> Array:
         d = self.dimension
-        points = np.asarray(points, dtype=float)
+        points = _real_array("points", points)
         if points.ndim != 2 or points.shape[1] != d:
             raise ValueError(f"expected an (m, {d}) array of points, got shape {points.shape}")
         sq = _sq_dev_sum(points, self.mean, out)

@@ -18,8 +18,9 @@ on fresh arrays.
 Each rule on the inputs is written once, here, and every other module calls
 it, so only this one tells what a number is: ``_count`` for a count or a
 seed, ``_real`` for a real, ``_positive_finite`` for a temperature or a
-variance and ``_unit_interval`` for a mixture weight (each returns an int or
-a float), ``_checked_points`` for a nonempty (n, d) array of finite points,
+variance, ``_unit_interval`` for a mixture weight (each returns an int or a
+float) and ``_real_array`` for an array of reals (a float64 array);
+``_checked_points`` for a nonempty (n, d) array of finite points,
 ``_checked_values`` for one finite or +inf value per point, and
 ``_checked_logq`` for one finite log-density per point.
 ``_checked_log_weights``, which every public function of log-weights goes
@@ -229,11 +230,15 @@ def _count(name: str, x, least: Optional[int] = 1) -> int:
     return int(x)
 
 
+def _is_real(x) -> bool:
+    """The type test of a real: a ``numbers.Real`` (an int, a Fraction, a numpy number) that is not a bool."""
+    return not isinstance(x, bool) and isinstance(x, (float, int, numbers.Real))  # the ABC test is the slow one
+
+
 def _real(name: str, x, rule: str = "be finite", holds=math.isfinite) -> float:
-    """``x`` as a float: a ``numbers.Real`` (an int, a Fraction, a numpy
-    number) that is not a bool and whose float ``holds``, finite by default.
+    """``x`` as a float: a real (``_is_real``) whose float ``holds``, finite by default.
     Raises ValueError "``{name} must {rule}``" (or "be a real number") otherwise."""
-    if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):  # the ABC test is the slow one
+    if not _is_real(x):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     try:
         f = float(x)
@@ -254,25 +259,39 @@ def _unit_interval(name: str, x) -> float:
     return _real(name, x, "lie in [0, 1]", lambda w: 0.0 <= w <= 1.0)
 
 
+def _real_array(name: str, x, rule: str = "", holds=None, error=ValueError, frozen: bool = False) -> Array:
+    """``x`` as a float64 array (a read-only copy when ``frozen``): a real, an ndarray of integer or float dtype
+    (a float64 one as it is) or a nested sequence of reals, which ``holds`` when given.  Raises ``error``
+    "``{name} must hold real numbers, got ...``", naming the first entry that is not, or "``{name} must {rule}``"."""
+    a = x if isinstance(x, (np.ndarray, np.generic)) else np.array(x, dtype=object)
+    got = ([repr(e) for e in a.flat if not _is_real(e)] if a.dtype.kind == "O"
+           else [] if a.dtype.kind in "iuf" else [f"an array of {a.dtype}"])
+    try:
+        a = a if got else np.array(a, dtype=float, copy=frozen or None)
+    except OverflowError:  # an integer or a fraction beyond the float range
+        got = ["a number beyond the float range"]
+    if got:
+        raise error(f"{name} must hold real numbers, got {got[0]}")
+    if holds is not None and not holds(a):
+        raise error(f"{name} must {rule}")
+    if frozen:
+        a.flags.writeable = False
+    return a
+
+
 def _checked_points(points) -> Array:
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) < 1 or not np.isfinite(points).all():
-        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
-    return points
+    return _real_array("points", points, "be a nonempty (n, d) array of finite numbers",
+                       lambda p: p.ndim == 2 and len(p) >= 1 and np.isfinite(p).all())
 
 
 def _checked_values(values, n: int) -> Array:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (n,) or not (values > -np.inf).all():  # no NaN, no -inf
-        raise ValueError("values must hold one finite or +inf number per point")
-    return values
+    return _real_array("values", values, "hold one finite or +inf number per point",
+                       lambda v: v.shape == (n,) and (v > -np.inf).all())  # no NaN, no -inf
 
 
 def _checked_logq(logq, n: int) -> Array:
-    logq = np.asarray(logq, dtype=float)
-    if logq.shape != (n,) or not np.isfinite(logq).all():
-        raise ValueError("sample log-densities must be finite, one per point")
-    return logq
+    return _real_array("sample log-densities", logq, "be finite, one per point",
+                       lambda q: q.shape == (n,) and np.isfinite(q).all())
 
 
 def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array) -> Array:
@@ -301,7 +320,7 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
 
 def _checked_log_weights(log_weights) -> Array:
     """A float copy of a nonempty 1-d array of log-weights, each finite or -inf."""
-    w = np.array(log_weights, dtype=float)
+    w = _real_array("log-weights", log_weights).copy()
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"log-weights must be a nonempty 1-d array, got shape {w.shape}")
     if not (w < np.inf).all():  # no NaN, no +inf

@@ -419,8 +419,9 @@ def fit_loglog_slope(
     n = stats.checkpoints.astype(float)
     mse = stats.mean_mse
     mask = np.ones(n.size, dtype=bool)
-    if n_range is not None:
-        mask &= (n >= n_range[0]) & (n <= n_range[1])
+    if n_range is not None:  # each end a real, +-inf for an open one
+        lo, hi = (_real("n_range", end, "not be NaN", lambda f: not math.isnan(f)) for end in n_range)
+        mask &= (n >= lo) & (n <= hi)
     if not ((mse[mask] > 0) & (mse[mask] < np.inf)).all():  # false at NaN too
         raise ValueError("mean MSE must be positive and finite throughout the fit range")
     if np.count_nonzero(mask) < 5:
@@ -472,11 +473,9 @@ def parse_csv(path: str) -> ExperimentReport:
     for line in lines[1:]:
         if not line:
             continue
-        try:  # six fields, each of its type, and counts of at least 1
+        try:  # six fields, each of its type, and counts (``_count``) from 1 to 2**63 - 1
             method, n, mean, std, ci, trials = line.split(",")
-            row = (int(n), float(mean), float(std), float(ci), int(trials))
-            if row[0] < 1 or row[4] < 1:
-                raise ValueError
+            row = (_count("n_evals", int(n)), float(mean), float(std), float(ci), _count("trials", int(trials)))
         except ValueError:
             raise ValueError(f"{path}: malformed row {line!r}") from None
         entries = rows.setdefault(method, {})  # by n_evals
@@ -489,14 +488,10 @@ def parse_csv(path: str) -> ExperimentReport:
         entries[row[0]] = row
     methods = {}
     for method, entries in rows.items():
-        arr = np.array([entries[n] for n in sorted(entries)], dtype=float)
-        methods[method] = MethodStats(
-            checkpoints=arr[:, 0].astype(int),
-            mean_mse=arr[:, 1],
-            std=arr[:, 2],
-            ci_half_width=arr[:, 3],
-            trials=int(arr[0, 4]),
-        )
+        ns = sorted(entries)
+        mean, std, ci = np.array([entries[n][1:4] for n in ns]).T  # the floats parsed above
+        methods[method] = MethodStats(checkpoints=np.array(ns), mean_mse=mean, std=std, ci_half_width=ci,
+                                      trials=entries[ns[0]][4])
     return ExperimentReport(methods=methods)
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .estimators import _count, _row_sum, _sq_dev_sum
+from .estimators import _count, _real_array, _row_sum, _sq_dev_sum
 
 if TYPE_CHECKING:  # the annotation of _exits_within
     import subprocess
@@ -62,32 +62,29 @@ class Objective:
         self.dimension = _count("dimension", dimension)
         self._batch = batch_evaluator
         if known_minimizer is not None:
-            known_minimizer = np.array(known_minimizer, dtype=float)  # a copy the caller cannot change
+            known_minimizer = _real_array("known_minimizer", known_minimizer, frozen=True)  # a read-only copy
             if known_minimizer.shape != (self.dimension,) or not np.isfinite(known_minimizer).all():
                 raise ValueError(f"known_minimizer must be a finite vector of length {self.dimension}, "
                                  f"got {np.array2string(known_minimizer, threshold=6)}")
-            known_minimizer.flags.writeable = False
         self.known_minimizer = known_minimizer
         self.name = name
         self.eval_count = 0
 
     def __call__(self, x) -> float:
         """The value at the one point x, a d-vector; the counter advances by 1."""
-        x = np.asarray(x, dtype=float)
+        x = _real_array("x", x, error=EvaluationError)
         if x.shape != (self.dimension,):
             raise EvaluationError(f"expected a vector of length {self.dimension}, got shape {x.shape}")
         return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, points: Array) -> Array:
         """Evaluate m points at once; the counter advances by m."""
-        points = np.asarray(points, dtype=float)
+        points = _real_array("points", points, error=EvaluationError)
         if points.ndim != 2 or points.shape[1] != self.dimension:
-            raise EvaluationError(
-                f"expected an (m, {self.dimension}) array, got shape {points.shape}"
-            )
+            raise EvaluationError(f"expected an (m, {self.dimension}) array, got shape {points.shape}")
         if not np.isfinite(points).all():
             raise EvaluationError("input points contain non-finite components")
-        values = np.asarray(self._batch(points), dtype=float)
+        values = _real_array("evaluator values", self._batch(points), error=EvaluationError)
         if values.shape != (points.shape[0],):
             raise EvaluationError("evaluator returned a wrongly shaped result")
         # NaN and -inf can never be absorbed by the log-weight core; +inf maps

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, _rebuilt_by_value, make_rng
 from .estimators import (_checked_logq, _checked_points, _checked_values, _count, _kish_ess, _log_weights_into,
-                         _normalize_into, _positive_finite, _sq_dev_sum, _unit_interval, _weighted_sum)
+                         _normalize_into, _positive_finite, _real_array, _sq_dev_sum, _unit_interval, _weighted_sum)
 from .objectives import Objective
 
 Array = np.ndarray
@@ -52,19 +52,24 @@ def default_checkpoints(budget: int, count: int = 30, start: int = 100) -> Array
     grid = np.geomspace(min(start, budget), budget, num=count)
     # Only points below the budget are cast: a budget above 2**53 has no exact
     # float, and the float of 2**63 - 1 is 2**63, which no int64 holds.
-    below = np.rint(grid[grid < budget]).astype(int).tolist()
-    return _resolve_checkpoints(below + [budget], budget)
+    below = np.rint(grid[grid < budget]).astype(int)
+    return _resolve_checkpoints(np.append(below, budget), budget)
 
 
 def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> Array:
     """Sorted distinct checkpoints in [1, budget] ending at budget; None: the default grid."""
     if checkpoints is None:
         return default_checkpoints(budget)
-    pts = [_count("checkpoints", p, None) for p in np.asarray(checkpoints, dtype=object).ravel()]
-    if not pts or min(pts) < 1 or max(pts) > budget:
+    if isinstance(checkpoints, np.ndarray) and checkpoints.dtype.kind in "iu":  # integers: one test for all
+        pts = np.sort(checkpoints, axis=None)
+    else:  # entry by entry (numpy would turn [5, True] into [5, 1])
+        pts = sorted(_count("checkpoints", p, None) for p in np.asarray(checkpoints, dtype=object).ravel())
+    if not len(pts) or pts[0] < 1 or pts[-1] > budget:
         raise ValueError("checkpoints must lie in [1, budget]")
-    # Not np.unique: its first call imports numpy.ma, about 13 ms.
-    return np.array(sorted(set(pts) - {budget}) + [budget], dtype=int)
+    pts = np.asarray(pts, dtype=int)  # int64 holds every count in [1, budget]
+    # Distinct by a sorted scan, not np.unique: its first call imports numpy.ma, about 13 ms.
+    distinct = pts[np.append(pts[1:] != pts[:-1], True)]
+    return np.append(distinct[distinct < budget], int(budget))
 
 
 @dataclass
@@ -132,13 +137,12 @@ class AdaptiveConfig:
                              mixture_weight=_unit_interval("mixture_weight", self.mixture_weight),
                              sigma2=None if self.sigma2 is None else _positive_finite("sigma2", self.sigma2))
         if self.projection_box is not None:
-            lo, hi = (np.array(a, dtype=float) for a in self.projection_box)  # copies, not views
+            lo, hi = (_real_array("projection_box", a, frozen=True) for a in self.projection_box)  # read-only copies
             d = self.q0.dimension
             if lo.shape != hi.shape or lo.shape not in ((), (1,), (d,)):
                 raise ValueError(f"projection_box bounds must share one shape: (), (1,) or ({d},)")
             if not np.all(lo <= hi):  # false at a NaN bound too
                 raise ValueError("projection_box must be nonempty, with no NaN bound")
-            lo.flags.writeable = hi.flags.writeable = False
             object.__setattr__(self, "projection_box", (lo, hi))
         grid = _resolve_checkpoints(self.checkpoints, self.budget)
         grid.flags.writeable = False

@@ -644,6 +644,14 @@ def test_slope_zero_max_n_fits_no_checkpoint(tmp_path, capsys):
     assert "need at least 5 checkpoints in the fit range" in err
 
 
+def test_slope_nan_min_n_is_usage_error_naming_n_range(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    synthetic_csv(str(path))
+    code, out, err = run_cli(capsys, "slope", "--csv", str(path), "--method", "m", "--min-n", "nan")
+    assert code == 2 and not out
+    assert err == "error: n_range must not be NaN, got nan\n"
+
+
 def test_slope_refuses_a_non_finite_mean(tmp_path, capsys):
     path = tmp_path / "r.csv"
     synthetic_csv(str(path))
@@ -659,7 +667,7 @@ def test_slope_refuses_a_non_finite_mean(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("mean_mse", "x"), ("n_evals", "1.5"), ("trials", "4"),
-                                          ("n_evals", "0"), ("n_evals", "-100")])
+                                          ("n_evals", "0"), ("n_evals", "-100"), ("n_evals", str(2**63))])
 def test_slope_names_the_file_and_row_of_a_malformed_row(tmp_path, capsys, field, value):
     path = tmp_path / "r.csv"
     synthetic_csv(str(path))

@@ -4,12 +4,16 @@ A count (``_count``) is an int or a numpy integer, not a bool, within the
 parameter's bounds (at most 2**63 - 1, except a seed, which is any integer).
 A real (``_real``, ``_positive_finite``) is a ``numbers.Real``, not a bool,
 whose float is finite and within the parameter's range, and it is used as
-that float.  Anything else raises a ValueError naming the parameter before
-any evaluation: never a TypeError, an OverflowError, a numpy error or a run
-on a truncated or converted value."""
+that float.  An array (``_real_array``) is a real, an ndarray of integer or
+float dtype, or a nested sequence of reals, and it is used as its float64
+array.  Anything else raises a ValueError naming the parameter before any
+evaluation (an EvaluationError where an objective takes its points): never a
+TypeError, an OverflowError, a numpy error or a run on a truncated or
+converted value."""
 
 import math
 import numbers
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,10 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lisopt import (AdaptiveConfig, ExperimentSpec, IsotropicGaussian, MixturePolicy, Objective,
-                    QuadratureSpec, alpha_schedule, benchmark, bootstrap_stderr, default_checkpoints,
-                    derive_seed, isotropic_es_recombination_weights, laplace_log_weights, liso_from_sample,
-                    make_rng, run_adaptive_liso, run_isotropic_es, run_liso)
+from lisopt import (CUBIC_DOMAIN, AdaptiveConfig, EvaluationError, ExperimentReport, ExperimentSpec,
+                    IsotropicGaussian, MethodStats, MixturePolicy, Objective, QuadratureSpec, alpha_schedule,
+                    benchmark, bootstrap_stderr, cubic_perturbed_quadratic, default_checkpoints, derive_seed,
+                    fit_loglog_slope, isotropic_es_recombination_weights, laplace_gap, laplace_log_weights,
+                    liso_from_sample, make_rng, normalized_weights, run_adaptive_liso, run_isotropic_es, run_liso,
+                    self_normalized_average)
+from lisopt.estimators import _real_array
 
 INT64_MAX = 2**63 - 1
 # An accepted count above this is not passed where the call allocates that many
@@ -288,3 +295,151 @@ def test_a_real_runs_with_the_bits_of_its_float(field, x):
                 for mu, trace in runs]
 
     assert traces(x) == traces(float(x))
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTS)
+def test_an_integer_array_of_checkpoints_is_checked_as_one_array(dtype):
+    def grid(checkpoints):  # a budget that every dtype holds
+        return config(budget=120, checkpoints=np.array(checkpoints, dtype=dtype)).grid
+
+    assert grid([5, 100, 5]).tolist() == [5, 100, 120] and grid([5, 100, 5]).dtype == np.int64
+    assert grid([[7, 5], [120, 120]]).tolist() == [5, 7, 120]
+    for outside in ([0, 5], [5, 121]):
+        with pytest.raises(ValueError, match=r"^checkpoints must lie in \[1, budget\]$"):
+            grid(outside)
+
+
+@pytest.mark.parametrize("checkpoints,message", [
+    (np.array([5, 2**63], dtype=np.uint64), r"checkpoints must lie in \[1, budget\]"),
+    (np.array([], dtype=np.int64), r"checkpoints must lie in \[1, budget\]"),
+    (np.array([True, False]), "checkpoints must be an integer, got True"),
+    (np.array([5.0, 300.0]), "checkpoints must be an integer, got 5.0"),
+    ([5, True, 300], "checkpoints must be an integer, got True"),
+], ids=["uint64_above_int64", "empty", "bool_array", "integral_floats", "list_with_a_bool"])
+def test_checkpoints_that_are_not_counts_in_the_budget_are_refused_by_name(checkpoints, message):
+    # The messages of checking each entry with _count: an integer array is
+    # checked as one, anything else entry by entry.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config(checkpoints=checkpoints)
+
+
+NS = np.array([100, 200, 400, 800, 1600, 3200])
+POWER_LAW = ExperimentReport(methods={"m": MethodStats(NS, 3.0 * NS**-0.5, np.zeros(6), np.zeros(6), 5)})
+
+
+@pytest.mark.parametrize("n_range,message", [
+    (("a", 1000), "n_range must be a real number, got 'a'"),
+    ((True, 1000), "n_range must be a real number, got True"),
+    ((math.nan, 1000), "n_range must not be NaN, got nan"),
+    ((100, Decimal(1000)), "n_range must be a real number, got Decimal('1000')"),
+])
+def test_each_end_of_a_slope_fit_range_is_a_real_or_an_infinity(n_range, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_loglog_slope(POWER_LAW, "m", n_range)
+    whole = fit_loglog_slope(POWER_LAW, "m")
+    assert fit_loglog_slope(POWER_LAW, "m", (-math.inf, math.inf)) == whole
+    assert fit_loglog_slope(POWER_LAW, "m", (np.float32(100), Fraction(3200))) == whole
+
+
+# site -> (parameter, error class, shape of x, call(x, objective)); each call
+# returns what it made of x, so that an accepted x can be compared with its
+# float64 array.
+ARRAY_SITES = {
+    "_checked_points": ("points", ValueError, (3, 2), lambda x, f: self_normalized_average(x, np.zeros(3))),
+    "_checked_values": ("values", ValueError, (3,), lambda x, f: laplace_log_weights(1.0, x, np.zeros(3))),
+    "_checked_logq": ("sample log-densities", ValueError, (3,),
+                      lambda x, f: laplace_log_weights(1.0, np.arange(3.0), x)),
+    "_checked_log_weights": ("log-weights", ValueError, (3,), lambda x, f: normalized_weights(x)),
+    "IsotropicGaussian.mean": ("mean", ValueError, (2,),
+                               lambda x, f: IsotropicGaussian(x, 1.0).sample(make_rng(0), 4)),
+    "IsotropicGaussian.log_density_batch": ("points", ValueError, (3, 2), lambda x, f: Q0.log_density_batch(x)),
+    "Objective.__call__": ("x", EvaluationError, (2,), lambda x, f: f(x)),
+    "Objective.evaluate_batch": ("points", EvaluationError, (3, 2), lambda x, f: f.evaluate_batch(x)),
+    "Objective.evaluate_batch.values": ("evaluator values", EvaluationError, (3,),
+                                       lambda x, f: Objective(2, lambda p: x).evaluate_batch(np.zeros((3, 2)))),
+    "Objective.known_minimizer": ("known_minimizer", ValueError, (2,),
+                                  lambda x, f: Objective(2, lambda p: p[:, 0], known_minimizer=x).known_minimizer),
+    "AdaptiveConfig.projection_box": ("projection_box", ValueError, (2,),
+                                      lambda x, f: config(projection_box=(x, np.full(2, 1e3))).projection_box[0]),
+    "laplace_gap.minimizer": ("minimizer", ValueError, (1,), lambda x, f: laplace_gap(
+        cubic_perturbed_quadratic, x, CUBIC_DOMAIN, [1.0], grid_points=5)),
+}
+OPTIONAL = {"Objective.known_minimizer"}  # None: no minimizer is known
+
+
+def nested(base, entry):
+    """``base`` as nested lists of ``entry(value)``."""
+    return np.vectorize(entry, otypes=[object])(base).tolist()
+
+
+# form -> x made of a base float64 array; accepted forms and refused forms.
+ACCEPTED = {
+    "float64": lambda b: b,
+    "float32": lambda b: b.astype(np.float32),
+    "floats": lambda b: b.tolist(),
+    "fractions": lambda b: nested(b, lambda v: Fraction(v).limit_denominator(7)),
+    **{t.__name__: lambda b, t=t: np.rint(np.abs(b) if np.issubdtype(t, np.unsignedinteger) else b).astype(t)
+       for t in NUMPY_INTS},
+}
+REFUSED = {
+    "bool array": lambda b: b > 0,
+    "str array": lambda b: b.astype(str),
+    "complex array": lambda b: b.astype(complex),
+    "object array": lambda b: np.array(nested(b, Decimal), dtype=object),
+}
+BAD_ENTRIES = [True, np.True_, "1.0", b"1", 1j, None, Decimal("1.5"), 10**400, Fraction(10**400, 3)]
+FORMS = st.one_of(
+    st.sampled_from(sorted(ACCEPTED)),
+    st.sampled_from(sorted(REFUSED)),
+    st.tuples(st.sampled_from(BAD_ENTRIES), st.booleans()),  # the value itself, or one entry of a float list
+)
+
+
+def made(form, base):
+    """The x of ``form`` on ``base``, and whether the rule accepts it."""
+    if isinstance(form, str):
+        return (ACCEPTED.get(form) or REFUSED[form])(base), form in ACCEPTED
+    bad, as_entry = form
+    if not as_entry:
+        return bad, False
+    x = nested(base, float)
+    row = x[-1] if isinstance(x[-1], list) else x  # the last row's last entry
+    row[-1] = bad
+    return x, False
+
+
+@pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(form=FORMS, seed=st.integers(0, 2**16))
+@example(form="float32", seed=0)
+@example(form="int8", seed=0)
+@example(form="uint64", seed=0)
+@example(form="fractions", seed=0)
+@example(form="bool array", seed=0)
+@example(form=(True, True), seed=0)
+@example(form=(None, False), seed=0)
+@example(form=(10**400, True), seed=0)
+@example(form=(b"1", False), seed=0)
+def test_an_array_holds_real_numbers_or_a_value_error_naming_it(site, form, seed):
+    name, error, shape, call = ARRAY_SITES[site]
+    base = 3.0 * make_rng(seed).standard_normal(shape)
+    x, accepted = made(form, base)
+    objective = benchmark("sphere", 2)
+    if x is None and site in OPTIONAL:
+        assert call(x, objective) is None
+        return
+    if accepted:
+        got, want = call(x, objective), call(np.asarray(x, dtype=float), benchmark("sphere", 2))
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        return
+    with pytest.raises(error, match=f"^{re.escape(name)} must "):
+        call(x, objective)
+    assert objective.eval_count == 0
+
+
+def test_a_float64_array_is_taken_as_it_is_and_a_frozen_one_is_copied():
+    points = make_rng(0).standard_normal((3, 2))
+    assert _real_array("points", points) is points
+    frozen = _real_array("points", points, frozen=True)
+    assert frozen is not points and not frozen.flags.writeable and frozen.tobytes() == points.tobytes()
+    assert points.flags.writeable

@@ -2,7 +2,8 @@
 module-level name is used somewhere in the package, no line silences a
 linter or the coverage count (``noqa``, ``pragma: no cover``), no module
 names ``threading.Thread``, only ``harness._read`` and ``harness._write``
-open a file, and only ``estimators`` tests whether a value is a number."""
+open a file, and only ``estimators`` tests whether a value is a number or
+turns an array into floats."""
 
 import ast
 import re
@@ -118,4 +119,21 @@ def test_only_estimators_tells_what_a_number_is():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
              and len(node.args) == 2 and number_type(node.args[1])]
+    assert found == []
+
+
+def test_only_estimators_converts_an_array():
+    # ``_real_array`` turns every array lisopt takes into floats; no other
+    # module asks numpy for a float array, which would turn a string or a
+    # bool into a number.
+    def float_dtype(node):
+        return (isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Attribute) and node.attr in ("float64", "double"))
+
+    found = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() if module != "estimators"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("array", "asarray") and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")
+             and any(k.arg == "dtype" and float_dtype(k.value) for k in node.keywords)]
     assert found == []
