@@ -93,8 +93,10 @@ class IsotropicGaussian:
     variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _real_array(  # a copy the caller cannot change
-            "mean", self.mean, "be a finite 1-d vector", lambda m: m.ndim == 1 and np.isfinite(m).all(), frozen=True))
+        mean = _real_array("mean", self.mean, frozen=True)  # a copy the caller cannot change
+        object.__setattr__(self, "mean", mean)
+        if mean.ndim != 1 or not np.isfinite(mean).all():
+            raise ValueError("mean must be a finite 1-d vector")
         object.__setattr__(self, "variance", _positive_finite("variance", self.variance))
 
     __eq__ = _equal_by_value

@@ -259,39 +259,43 @@ def _unit_interval(name: str, x) -> float:
     return _real(name, x, "lie in [0, 1]", lambda w: 0.0 <= w <= 1.0)
 
 
-def _real_array(name: str, x, rule: str = "", holds=None, error=ValueError, frozen: bool = False) -> Array:
+def _real_array(name: str, x, error=ValueError, frozen: bool = False) -> Array:
     """``x`` as a float64 array (a read-only copy when ``frozen``): a real, an ndarray of integer or float dtype
-    (a float64 one as it is) or a nested sequence of reals, which ``holds`` when given.  Raises ``error``
-    "``{name} must hold real numbers, got ...``", naming the first entry that is not, or "``{name} must {rule}``"."""
+    (a float64 one as it is) or a nested sequence of reals.  Raises ``error``
+    "``{name} must hold real numbers, got ...``", naming the first entry that is not."""
     a = x if isinstance(x, (np.ndarray, np.generic)) else np.array(x, dtype=object)
     got = ([repr(e) for e in a.flat if not _is_real(e)] if a.dtype.kind == "O"
            else [] if a.dtype.kind in "iuf" else [f"an array of {a.dtype}"])
     try:
-        a = a if got else np.array(a, dtype=float, copy=frozen or None)
+        a = a if got else (np.array if frozen else np.asarray)(a, dtype=float)
     except OverflowError:  # an integer or a fraction beyond the float range
         got = ["a number beyond the float range"]
     if got:
         raise error(f"{name} must hold real numbers, got {got[0]}")
-    if holds is not None and not holds(a):
-        raise error(f"{name} must {rule}")
     if frozen:
         a.flags.writeable = False
     return a
 
 
 def _checked_points(points) -> Array:
-    return _real_array("points", points, "be a nonempty (n, d) array of finite numbers",
-                       lambda p: p.ndim == 2 and len(p) >= 1 and np.isfinite(p).all())
+    points = _real_array("points", points)
+    if points.ndim != 2 or len(points) < 1 or not np.isfinite(points).all():
+        raise ValueError("points must be a nonempty (n, d) array of finite numbers")
+    return points
 
 
 def _checked_values(values, n: int) -> Array:
-    return _real_array("values", values, "hold one finite or +inf number per point",
-                       lambda v: v.shape == (n,) and (v > -np.inf).all())  # no NaN, no -inf
+    values = _real_array("values", values)
+    if values.shape != (n,) or not (values > -np.inf).all():  # no NaN, no -inf
+        raise ValueError("values must hold one finite or +inf number per point")
+    return values
 
 
 def _checked_logq(logq, n: int) -> Array:
-    return _real_array("sample log-densities", logq, "be finite, one per point",
-                       lambda q: q.shape == (n,) and np.isfinite(q).all())
+    logq = _real_array("sample log-densities", logq)
+    if logq.shape != (n,) or not np.isfinite(logq).all():
+        raise ValueError("sample log-densities must be finite, one per point")
+    return logq
 
 
 def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array) -> Array:

@@ -42,7 +42,7 @@ from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_
 import numpy as np
 
 from .distributions import IsotropicGaussian, _equal_by_value, derive_seed
-from .estimators import _count, _real
+from .estimators import _count, _real, _real_array
 from .objectives import Objective, benchmark, benchmark_names, format_float
 from .optimizers import (AdaptiveConfig, _draw_q0, default_checkpoints, run_adaptive_liso,
                          run_adaptive_random_search, run_isotropic_es, run_liso, run_random_search)
@@ -416,7 +416,7 @@ def fit_loglog_slope(
         stats = report.methods[method]
     except KeyError:
         raise ValueError(f"method {method!r} not in report") from None
-    n = stats.checkpoints.astype(float)
+    n = _real_array("checkpoints", stats.checkpoints)
     mse = stats.mean_mse
     mask = np.ones(n.size, dtype=bool)
     if n_range is not None:  # each end a real, +-inf for an open one
@@ -490,8 +490,13 @@ def parse_csv(path: str) -> ExperimentReport:
     for method, entries in rows.items():
         ns = sorted(entries)
         mean, std, ci = np.array([entries[n][1:4] for n in ns]).T  # the floats parsed above
-        methods[method] = MethodStats(checkpoints=np.array(ns), mean_mse=mean, std=std, ci_half_width=ci,
-                                      trials=entries[ns[0]][4])
+        methods[method] = MethodStats(
+            checkpoints=np.array(ns),
+            mean_mse=mean,
+            std=std,
+            ci_half_width=ci,
+            trials=entries[ns[0]][4],
+        )
     return ExperimentReport(methods=methods)
 
 
@@ -550,7 +555,7 @@ def svg_string(report: ExperimentReport, title: str = "") -> str:
         if np.count_nonzero(keep) == 0:
             continue
         series[method] = (
-            s.checkpoints[keep].astype(float),
+            _real_array("checkpoints", s.checkpoints[keep]),
             s.mean_mse[keep],
             # Width 0, no band, where the half-width is not finite or mean + half-width overflows.
             np.where(np.isfinite(s.ci_half_width) & (s.ci_half_width <= _FLOAT_MAX - s.mean_mse),

@@ -81,7 +81,9 @@ class Objective:
         """Evaluate m points at once; the counter advances by m."""
         points = _real_array("points", points, error=EvaluationError)
         if points.ndim != 2 or points.shape[1] != self.dimension:
-            raise EvaluationError(f"expected an (m, {self.dimension}) array, got shape {points.shape}")
+            raise EvaluationError(
+                f"expected an (m, {self.dimension}) array, got shape {points.shape}"
+            )
         if not np.isfinite(points).all():
             raise EvaluationError("input points contain non-finite components")
         values = _real_array("evaluator values", self._batch(points), error=EvaluationError)

@@ -52,24 +52,19 @@ def default_checkpoints(budget: int, count: int = 30, start: int = 100) -> Array
     grid = np.geomspace(min(start, budget), budget, num=count)
     # Only points below the budget are cast: a budget above 2**53 has no exact
     # float, and the float of 2**63 - 1 is 2**63, which no int64 holds.
-    below = np.rint(grid[grid < budget]).astype(int)
-    return _resolve_checkpoints(np.append(below, budget), budget)
+    below = np.rint(grid[grid < budget]).astype(int).tolist()
+    return _resolve_checkpoints(below + [budget], budget)
 
 
 def _resolve_checkpoints(checkpoints: Optional[Sequence[int]], budget: int) -> Array:
     """Sorted distinct checkpoints in [1, budget] ending at budget; None: the default grid."""
     if checkpoints is None:
         return default_checkpoints(budget)
-    if isinstance(checkpoints, np.ndarray) and checkpoints.dtype.kind in "iu":  # integers: one test for all
-        pts = np.sort(checkpoints, axis=None)
-    else:  # entry by entry (numpy would turn [5, True] into [5, 1])
-        pts = sorted(_count("checkpoints", p, None) for p in np.asarray(checkpoints, dtype=object).ravel())
-    if not len(pts) or pts[0] < 1 or pts[-1] > budget:
+    pts = [_count("checkpoints", p, None) for p in np.asarray(checkpoints, dtype=object).ravel()]
+    if not pts or min(pts) < 1 or max(pts) > budget:
         raise ValueError("checkpoints must lie in [1, budget]")
-    pts = np.asarray(pts, dtype=int)  # int64 holds every count in [1, budget]
-    # Distinct by a sorted scan, not np.unique: its first call imports numpy.ma, about 13 ms.
-    distinct = pts[np.append(pts[1:] != pts[:-1], True)]
-    return np.append(distinct[distinct < budget], int(budget))
+    # Not np.unique: its first call imports numpy.ma, about 13 ms.
+    return np.array(sorted(set(pts) - {budget}) + [budget], dtype=int)
 
 
 @dataclass

@@ -126,9 +126,11 @@ def laplace_gap(
     (the tempered measure is a centered Gaussian).
     """
     _check_objective(f, len(domain))
-    minimizer = np.atleast_1d(_real_array("minimizer", minimizer, "be finite", lambda m: np.isfinite(m).all()))
+    minimizer = np.atleast_1d(_real_array("minimizer", minimizer))
     if minimizer.shape != (len(domain),):
         raise ValueError(f"minimizer has shape {minimizer.shape} but the box has shape ({len(domain)},)")
+    if not np.isfinite(minimizer).all():
+        raise ValueError(f"minimizer must be finite, got {minimizer}")
     specs = [QuadratureSpec(domain, grid_points, alpha) for alpha in alphas]
     if any(s2.alpha <= s1.alpha for s1, s2 in zip(specs, specs[1:])):
         raise ValueError("alphas must be strictly increasing")

@@ -298,7 +298,7 @@ def test_a_real_runs_with_the_bits_of_its_float(field, x):
 
 
 @pytest.mark.parametrize("dtype", NUMPY_INTS)
-def test_an_integer_array_of_checkpoints_is_checked_as_one_array(dtype):
+def test_an_integer_array_of_checkpoints_of_any_dtype_gives_its_grid(dtype):
     def grid(checkpoints):  # a budget that every dtype holds
         return config(budget=120, checkpoints=np.array(checkpoints, dtype=dtype)).grid
 
@@ -317,8 +317,8 @@ def test_an_integer_array_of_checkpoints_is_checked_as_one_array(dtype):
     ([5, True, 300], "checkpoints must be an integer, got True"),
 ], ids=["uint64_above_int64", "empty", "bool_array", "integral_floats", "list_with_a_bool"])
 def test_checkpoints_that_are_not_counts_in_the_budget_are_refused_by_name(checkpoints, message):
-    # The messages of checking each entry with _count: an integer array is
-    # checked as one, anything else entry by entry.
+    # Each entry is checked with _count, an array's as a list's (numpy would
+    # turn the list [5, True] into [5, 1]).
     with pytest.raises(ValueError, match=f"^{message}$"):
         config(checkpoints=checkpoints)
 

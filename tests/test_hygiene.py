@@ -124,16 +124,28 @@ def test_only_estimators_tells_what_a_number_is():
 
 def test_only_estimators_converts_an_array():
     # ``_real_array`` turns every array lisopt takes into floats; no other
-    # module asks numpy for a float array, which would turn a string or a
-    # bool into a number.
+    # module asks numpy for floats (``np.array`` or ``np.asarray`` with a
+    # float dtype, by keyword or by position, ``.astype(float)`` or
+    # ``np.float64(...)``), which would turn a string or a bool into a number.
     def float_dtype(node):
         return (isinstance(node, ast.Name) and node.id == "float"
-                or isinstance(node, ast.Attribute) and node.attr in ("float64", "double"))
+                or isinstance(node, ast.Attribute) and node.attr in ("float64", "double")
+                or isinstance(node, ast.Constant) and node.value in ("float", "float64", "f8", "double"))
+
+    def converts(call):
+        f = call.func
+        numpy = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")
+        if numpy and f.attr in ("float64", "double"):
+            return True
+        dtypes = [k.value for k in call.keywords if k.arg == "dtype"]
+        if numpy and f.attr in ("array", "asarray"):
+            dtypes += call.args[1:2]
+        elif isinstance(f, ast.Attribute) and f.attr == "astype":
+            dtypes += call.args[:1]
+        else:
+            return False
+        return any(map(float_dtype, dtypes))
 
     found = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() if module != "estimators"
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in ("array", "asarray") and isinstance(node.func.value, ast.Name)
-             and node.func.value.id in ("np", "numpy")
-             and any(k.arg == "dtype" and float_dtype(k.value) for k in node.keywords)]
+             for node in ast.walk(tree) if isinstance(node, ast.Call) and converts(node)]
     assert found == []
