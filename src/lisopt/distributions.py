@@ -23,7 +23,11 @@ Log-densities square and sum one column at a time (``_sq_dev_sum`` of
 temporary below eight dimensions; ``log_density_batch(points, out=buf)``
 writes them into a caller's (m,) float buffer and returns it, with the bits of
 the call without ``out``.  Densities are batch-only: the log-density at one
-point x is ``log_density_batch(x[None])[0]``.
+point x is ``log_density_batch(x[None])[0]``.  That arithmetic is written
+once, in ``_draw`` and ``_log_density``, for a mixture of two (mean, variance,
+log-normaliser) triples, a Gaussian being the mixture of weight 0.  The
+policies call them, and so does the adaptive driver loop with its run's
+triples, so no batch builds a policy.
 
 Policies are values: immutable after construction (a Gaussian keeps its own
 read-only copy of its mean and the float of its variance, a mixture the
@@ -98,6 +102,8 @@ class IsotropicGaussian:
         if mean.ndim != 1 or not np.isfinite(mean).all():
             raise ValueError("mean must be a finite 1-d vector")
         object.__setattr__(self, "variance", _positive_finite("variance", self.variance))
+        # (mean, variance, log-normaliser): the form _draw and _log_density take.
+        object.__setattr__(self, "_component", (mean, self.variance, _log_normalizer(mean.size, self.variance)))
 
     __eq__ = _equal_by_value
     __reduce__ = _rebuilt_by_value
@@ -107,20 +113,11 @@ class IsotropicGaussian:
         return self.mean.size
 
     def log_density_batch(self, points: Array, out=None) -> Array:
-        d = self.dimension
-        points = _real_array("points", points)
-        if points.ndim != 2 or points.shape[1] != d:
-            raise ValueError(f"expected an (m, {d}) array of points, got shape {points.shape}")
-        sq = _sq_dev_sum(points, self.mean, out)
-        sq /= 2.0 * self.variance
-        return np.subtract(-0.5 * d * np.log(2.0 * np.pi * self.variance), sq, out=sq)
+        return _log_density(points, 0.0, self._component, None, out)
 
     def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
         _count("count", count)
-        z = rng.standard_normal((count, self.dimension), out=out)
-        z *= math.sqrt(self.variance)
-        z += self.mean
-        return z
+        return _draw(rng, count, 0.0, self._component, None, out)
 
 
 @dataclass(frozen=True)
@@ -146,32 +143,50 @@ class MixturePolicy:
         return self.adapted.dimension
 
     def log_density_batch(self, points: Array, out=None) -> Array:
-        # Degenerate weights return the component bit-exactly.
-        if self.weight == 0.0:
-            return self.adapted.log_density_batch(points, out)
-        if self.weight == 1.0:
-            return self.envelope.log_density_batch(points, out)
-        a = self.adapted.log_density_batch(points) + math.log1p(-self.weight)
-        b = self.envelope.log_density_batch(points) + math.log(self.weight)
-        m = np.maximum(a, b)
-        return np.add(m, np.log(np.exp(a - m) + np.exp(b - m)), out=out)
+        return _log_density(points, self.weight, self.adapted._component, self.envelope._component, out)
 
     def sample(self, rng: np.random.Generator, count: int, out=None) -> Array:
         _count("count", count)
-        # Degenerate mixtures skip the component-selection uniforms so that
-        # their sample stream coincides with sampling the component directly.
-        if self.weight == 0.0:
-            return self.adapted.sample(rng, count, out)
-        if self.weight == 1.0:
-            return self.envelope.sample(rng, count, out)
-        pick_envelope = rng.random(count) < self.weight
-        z = rng.standard_normal((count, self.dimension), out=out)
-        means = np.where(pick_envelope[:, None], self.envelope.mean, self.adapted.mean)
-        stds = np.where(
-            pick_envelope,
-            math.sqrt(self.envelope.variance),
-            math.sqrt(self.adapted.variance),
-        )
-        z *= stds[:, None]
-        z += means
+        return _draw(rng, count, self.weight, self.adapted._component, self.envelope._component, out)
+
+
+def _log_normalizer(d: int, variance: float) -> float:
+    """log of N(mean, variance I_d)'s density at its mean."""
+    return -0.5 * d * np.log(2.0 * np.pi * variance)
+
+
+def _draw(rng: np.random.Generator, count: int, weight: float, adapted, envelope, out=None) -> Array:
+    """``count`` draws from (1 - weight) N(adapted) + weight N(envelope), into ``out``
+    when given, each component an ``IsotropicGaussian._component`` triple.  A degenerate
+    weight draws no component-selection uniforms: its stream is its component's own."""
+    if weight == 0.0 or weight == 1.0:
+        mean, variance, _ = envelope if weight else adapted
+        z = rng.standard_normal((count, mean.size), out=out)
+        z *= math.sqrt(variance)
+        z += mean
         return z
+    pick_envelope = rng.random(count) < weight
+    z = rng.standard_normal((count, adapted[0].size), out=out)
+    means = np.where(pick_envelope[:, None], envelope[0], adapted[0])
+    stds = np.where(pick_envelope, math.sqrt(envelope[1]), math.sqrt(adapted[1]))
+    z *= stds[:, None]
+    z += means
+    return z
+
+
+def _log_density(points, weight: float, adapted, envelope, out=None) -> Array:
+    """The log-density of ``_draw``'s mixture at each of the (m, d) ``points``,
+    into ``out`` when given; a degenerate weight gives its component's bits."""
+    d = adapted[0].size
+    points = _real_array("points", points)
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"expected an (m, {d}) array of points, got shape {points.shape}")
+    if weight == 0.0 or weight == 1.0:
+        mean, variance, log_normalizer = envelope if weight else adapted
+        sq = _sq_dev_sum(points, mean, out)
+        sq /= 2.0 * variance
+        return np.subtract(log_normalizer, sq, out=sq)
+    a = _log_density(points, 0.0, adapted, None) + math.log1p(-weight)
+    b = _log_density(points, 0.0, envelope, None) + math.log(weight)
+    m = np.maximum(a, b)
+    return np.add(m, np.log(np.exp(a - m) + np.exp(b - m)), out=out)

@@ -262,8 +262,15 @@ def _unit_interval(name: str, x) -> float:
 def _real_array(name: str, x, error=ValueError, frozen: bool = False) -> Array:
     """``x`` as a float64 array (a read-only copy when ``frozen``): a real, an ndarray of integer or float dtype
     (a float64 one as it is) or a nested sequence of reals.  Raises ``error``
-    "``{name} must hold real numbers, got ...``", naming the first entry that is not."""
-    a = x if isinstance(x, (np.ndarray, np.generic)) else np.array(x, dtype=object)
+    "``{name} must hold real numbers, got ...``", naming the first entry that is not,
+    or a ragged sequence: rows of unequal lengths or shapes."""
+    try:
+        a = x if isinstance(x, (np.ndarray, np.generic)) else np.array(x, dtype=object)
+    except ValueError:  # rows numpy cannot stack, such as a (2, 2) and a (2, 3) array
+        a = None
+    if a is None or a.dtype.kind == "O" and any(
+            isinstance(e, (list, tuple)) or isinstance(e, np.ndarray) and e.ndim for e in a.flat):
+        raise error(f"{name} must hold real numbers in rows of one length, got a ragged sequence")
     got = ([repr(e) for e in a.flat if not _is_real(e)] if a.dtype.kind == "O"
            else [] if a.dtype.kind in "iuf" else [f"an array of {a.dtype}"])
     try:
@@ -284,9 +291,9 @@ def _checked_points(points) -> Array:
     return points
 
 
-def _checked_values(values, n: int) -> Array:
+def _checked_values(values, n: Optional[int] = None) -> Array:
     values = _real_array("values", values)
-    if values.shape != (n,) or not (values > -np.inf).all():  # no NaN, no -inf
+    if values.shape != (values.size if n is None else n,) or not (values > -np.inf).all():  # no NaN, no -inf
         raise ValueError("values must hold one finite or +inf number per point")
     return values
 
@@ -314,7 +321,7 @@ def laplace_log_weights(alpha: float, values: Array, sample_log_densities: Array
     :class:`DegenerateWeightsError`.
     """
     alpha = _positive_finite("alpha", alpha)
-    values = _checked_values(values, np.size(values))
+    values = _checked_values(values)  # any number of them
     logq = _checked_logq(sample_log_densities, values.size)
     ref = values.min() if values.size else np.inf
     if ref == np.inf:

@@ -9,23 +9,24 @@ byte-deterministic.  A spec checks its fields and builds the one
 trial copies with its own seed.
 
 ``METHODS`` maps each method name to its driver; specs, trials and ``cli``
-read it.  One task runs one trial: every method of the spec, with the trial's
-derived seed.  The static methods (``SHARED_DRAW``) post-process one shared
-draw from q0, so a trial samples, evaluates and weights that draw once.  Each
-adaptive method makes its own run.  Each method still accounts for ``budget``
-evaluations, and the trial's one objective checks the count.
+read it.  A task runs one trial's static methods (``SHARED_DRAW``), which
+post-process one draw from q0 that it samples, evaluates and weights once, or
+one adaptive method's run of one trial; all use the trial's derived seed.
+Each method still accounts for ``budget`` evaluations, which the task's
+objective checks.
 
-Trials may execute in parallel; the worker count comes from the
+Tasks may execute in parallel; the worker count comes from the
 ``LISOPT_WORKERS`` environment variable (default: the number of CPUs this
-process may run on), capped at the trial count.  One worker runs the trials in
-the caller's process, which then never imports the process pool; likewise
-yaml is only imported to read or write a spec file.  Aggregation folds results in
-trial order, so completion order never matters.  The first failing trial
-aborts the experiment and cancels the trials not yet started; a failure
-outside any trial, such as a killed worker process, is the pool's own error.
-On glibc each pool worker keeps its freed heap instead of returning it to the
-OS between trials (``_keep_heap_resident``); the caller's own process is
-never touched.
+process may run on), capped at the task count.  Tasks are queued in
+``METHODS`` order, so the long softmin runs start first and short ones fill
+the tail; one worker runs them in the caller's process, which then never
+imports the process pool; likewise yaml is only imported to read or write a
+spec file.  Aggregation folds results in trial order, so completion order
+never matters.  The first failing task aborts the experiment and cancels
+those not yet started; a failure outside any task, such as a killed worker
+process, is the pool's own error.  On glibc each pool worker keeps its freed
+heap instead of returning it to the OS between tasks
+(``_keep_heap_resident``); the caller's own process is never touched.
 """
 
 from __future__ import annotations
@@ -272,34 +273,35 @@ def _build_objective(spec: ExperimentSpec) -> Objective:
 SHARED_DRAW = ("liso", "random_search")
 
 
-def _run_trial(spec: ExperimentSpec, trial: int) -> Dict[str, Array]:
-    """Run every method on one trial; returns squared errors per checkpoint
-    for each method.
+def _run_trial(spec: ExperimentSpec, trial: int, methods: Optional[Tuple[str, ...]] = None) -> Dict[str, Array]:
+    """Run ``methods`` (default: every method of the spec) on one trial;
+    returns squared errors per checkpoint for each method.
 
     The static methods in ``SHARED_DRAW`` post-process one draw from q0 made
     here, so it is sampled and evaluated once for all of them.  The adaptive
     methods each make their own run.  One objective counts every evaluation
-    of the trial: the draw must spend exactly ``budget`` of them,
+    of the call: the draw must spend exactly ``budget`` of them,
     post-processing none, and each adaptive run ``budget``.  A failure raises
     the abort error: it names the method (or the shared draw) at fault, the
     trial and its derived seed, so the failing run can be replayed alone.
     """
     objective = _build_objective(spec)
     config = replace(spec.config, seed=derive_seed(spec.seed, trial))
+    methods = spec.methods if methods is None else methods
 
     def check_spent(before, expected):
         spent = objective.eval_count - before
         if spent != expected:
             raise RuntimeError(f"spent {spent} evaluations instead of {expected}")
 
-    shared = [m for m in spec.methods if m in SHARED_DRAW]
+    shared = [m for m in methods if m in SHARED_DRAW]
     errors = {}
     try:
         if shared:
             where = "the shared draw of " + ", ".join(shared)
             sample = _draw_q0(objective, config)
             check_spent(0, spec.budget)
-        for method in spec.methods:
+        for method in methods:
             where = f"method {method}"
             driver, _ = METHODS[method]
             before = objective.eval_count
@@ -352,8 +354,8 @@ def _glibc_mallopt():
 def _keep_heap_resident() -> None:
     """Pool worker initializer: glibc keeps freed heap up to 1 GiB instead of
     trimming it, and serves arrays below 32 MiB from the heap instead of
-    fresh mmaps, so each trial's arrays (a 1e5x4 sample is 3.2 MB) reuse the
-    pages of the trial before rather than faulting new ones in.  A no-op
+    fresh mmaps, so each task's arrays (a 1e5x4 sample is 3.2 MB) reuse the
+    pages of the task before rather than faulting new ones in.  A no-op
     without glibc.
     """
     mallopt = _glibc_mallopt()
@@ -363,25 +365,28 @@ def _keep_heap_resident() -> None:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Run every trial, one task each, and aggregate the traces.
+    """Run every trial, as the tasks of the module docstring, and aggregate the traces.
 
-    The first failing trial aborts the experiment with its own error (see
-    :func:`_run_trial`); trials not yet started are cancelled.
+    The first failing task aborts the experiment with its own error (see
+    :func:`_run_trial`); tasks not yet started are cancelled.
     """
-    workers = min(_worker_count(), spec.trials)
-    trials = range(spec.trials)
+    shared = tuple(m for m in spec.methods if m in SHARED_DRAW)  # SHARED_DRAW leads METHODS
+    groups = ([shared] if shared else []) + [(m,) for m in METHODS if m in spec.methods and m not in SHARED_DRAW]
+    tasks = [(t, group) for group in groups for t in range(spec.trials)]
+    workers = min(_worker_count(), len(tasks))
     if workers == 1:
-        results = [_run_trial(spec, t) for t in trials]
+        results = [_run_trial(spec, t, group) for t, group in tasks]
     else:
         # Here, not at the top: a one-worker run never loads multiprocessing (~19 ms).
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap_resident) as pool:
-            results = list(pool.map(_run_trial, [spec] * spec.trials, trials))
+            results = list(pool.map(_run_trial, [spec] * len(tasks), *zip(*tasks)))
+    runs = {(m, t): e for (t, _), errors in zip(tasks, results) for m, e in errors.items()}
 
     methods: Dict[str, MethodStats] = {}
     for method in spec.methods:
         # Deterministic reduction: fold in trial-index order.
-        errors = np.stack([results[t][method] for t in range(spec.trials)])
+        errors = np.stack([runs[method, t] for t in range(spec.trials)])
         mean = errors.mean(axis=0)
         if spec.trials > 1:
             std = errors.std(axis=0, ddof=1)

@@ -27,7 +27,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import IsotropicGaussian, MixturePolicy, _equal_by_value, _rebuilt_by_value, make_rng
+from .distributions import (IsotropicGaussian, _draw, _equal_by_value, _log_density, _log_normalizer,
+                            _rebuilt_by_value, make_rng)
 from .estimators import (_checked_logq, _checked_points, _checked_values, _count, _kish_ess, _log_weights_into,
                          _normalize_into, _positive_finite, _real_array, _sq_dev_sum, _unit_interval, _weighted_sum)
 from .objectives import Objective
@@ -191,7 +192,9 @@ class _SoftminPrefixes(_BestPrefixes):
     weights.  The buffer is allocated at the first weighting, after the run's
     first log-densities and their scratch, and held for the rest of the run.
     A prefix whose values are all +inf has no weight left and falls back to
-    the search's best point, its first.
+    the search's best point, its first.  The temperature of c points is
+    ``fixed_alpha``, or ``alpha_schedule``'s formula computed bare: its
+    arguments were checked once per run, by ``_check_temperature``.
     """
 
     weighted = True  # reads the sampling log-densities
@@ -217,7 +220,7 @@ class _SoftminPrefixes(_BestPrefixes):
         w = np.subtract(self.values[:c], self.values[self.best], out=self.work[:c])
         alpha = self.fixed_alpha
         if alpha is None:
-            alpha = alpha_schedule(self.alpha0, c, self.points.shape[1])
+            alpha = self.alpha0 * float(c) ** (2.0 / (self.points.shape[1] + 2.0))
         p = _normalize_into(_log_weights_into(w, alpha, self.logq[:c]))
         return _weighted_sum(p, self.points[:c]), (_kish_ess(p) if with_ess else math.nan)
 
@@ -351,12 +354,14 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
     estimator over the run's record; it gives the estimate at each checkpoint
     and, after each batch, the next center.  Every batch, the one batch of a
     static run (``batch_size`` = budget) included, is drawn straight into its
-    rows of the record (``sample(..., out)``, the bits of a fresh draw), so no
-    point is copied.  Objective values, and sampling log-densities when the
-    estimator is ``weighted``, are cached once per point and validated when
-    the batch is evaluated; the log-densities are written into the record
-    too (``log_density_batch(..., out)``) and checked there.  A checkpoint
-    that falls on a batch boundary also serves as the next center.
+    rows of the record (``_draw(..., out)``, the bits of a fresh draw), so no
+    point is copied; no batch builds a policy, as the run's triples of q0 and
+    N(mu, sigma2 I) feed ``_draw`` and ``_log_density``.  Objective values, and
+    sampling log-densities when the estimator is ``weighted``, are cached once
+    per point and validated when the batch is evaluated; the log-densities are
+    written into the record too (``_log_density(..., out)``) and checked
+    there.  A checkpoint that falls on a batch boundary also serves as the
+    next center.
 
     ``sample``, when given, is a static run's ``(points, values)``, already
     evaluated; it is checked once and is itself the record, which the run
@@ -368,6 +373,8 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
     n, batch_size = int(config.budget), int(batch_size)  # a numpy integer count would overflow below
     box = config.projection_box if estimator.mixes_and_projects else None
     sigma2 = 1.0 / config.q0.dimension if config.sigma2 is None else config.sigma2
+    q0, log_normalizer = config.q0._component, _log_normalizer(d, sigma2)  # once per run
+    mixture_weight = config.mixture_weight if estimator.mixes_and_projects else 0.0
     rng = make_rng(config.seed)
     trace = _blank_trace(config.grid, d)
     if sample is None:
@@ -381,19 +388,12 @@ def _run_adaptive(objective: Objective, config: AdaptiveConfig, batch_size: int,
     filled = next_cp = 0
     while filled < n:
         b = min(batch_size, n - filled)
-        if mu is None:
-            policy = config.q0
-        else:
-            policy = MixturePolicy(
-                weight=config.mixture_weight if estimator.mixes_and_projects else 0.0,
-                adapted=IsotropicGaussian(mean=mu, variance=sigma2),
-                envelope=config.q0,
-            )
+        weight, adapted = (0.0, q0) if mu is None else (mixture_weight, (mu, sigma2, log_normalizer))
         lo, filled = filled, filled + b
         if sample is None:
-            values[lo:filled] = objective.evaluate_batch(policy.sample(rng, b, points[lo:filled]))
+            values[lo:filled] = objective.evaluate_batch(_draw(rng, b, weight, adapted, q0, points[lo:filled]))
         if logq is not None:
-            _checked_logq(policy.log_density_batch(points[lo:filled], out=logq[lo:filled]), b)
+            _checked_logq(_log_density(points[lo:filled], weight, adapted, q0, logq[lo:filled]), b)
 
         next_cp = _record(trace, prefixes, next_cp, filled, box)
         if next_cp and trace.checkpoints[next_cp - 1] == filled:

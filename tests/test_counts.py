@@ -437,6 +437,22 @@ def test_an_array_holds_real_numbers_or_a_value_error_naming_it(site, form, seed
     assert objective.eval_count == 0
 
 
+RAGGED = {
+    "blocks": [np.zeros((2, 2)), np.zeros((2, 3))],  # numpy cannot stack them
+    "rows": [[1.0, 2.0], [3.0]],  # numpy would make an array of two lists
+}
+
+
+@pytest.mark.parametrize("ragged", sorted(RAGGED))
+@pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+def test_a_ragged_sequence_is_named_as_one(site, ragged):
+    name, error, _, call = ARRAY_SITES[site]
+    objective = benchmark("sphere", 2)
+    with pytest.raises(error, match=f"^{re.escape(name)} must .*, got a ragged sequence$"):
+        call(RAGGED[ragged], objective)
+    assert objective.eval_count == 0
+
+
 def test_a_float64_array_is_taken_as_it_is_and_a_frozen_one_is_copied():
     points = make_rng(0).standard_normal((3, 2))
     assert _real_array("points", points) is points

@@ -551,6 +551,59 @@ def test_abort_cancels_the_trials_not_yet_started(monkeypatch, tmp_path):
     assert len(calls.read_text().splitlines()) < 20
 
 
+ALL_METHODS = tuple(harness.METHODS)
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_a_five_method_report_is_the_same_bytes_for_any_worker_count(monkeypatch, workers):
+    # Each adaptive method's run of a trial is its own task; the fold is by trial.
+    spec = small_spec(methods=list(ALL_METHODS), batch_size=50, trials=3)
+    monkeypatch.setenv("LISOPT_WORKERS", "1")
+    report = run_experiment(spec)
+    expected = csv_string(report), svg_string(report, title=spec.title)
+    monkeypatch.setenv("LISOPT_WORKERS", workers)
+    report = run_experiment(spec)
+    assert (csv_string(report), svg_string(report, title=spec.title)) == expected
+
+
+def test_a_task_has_the_bits_of_its_whole_trial():
+    # A task builds its own objective and generator, so no task's bits depend
+    # on which tasks ran before it, or in which order.
+    spec = small_spec(methods=list(ALL_METHODS), batch_size=50, trials=2)
+    for trial in reversed(range(spec.trials)):
+        whole = _run_trial(spec, trial)
+        for group in (("liso", "random_search"),) + tuple((m,) for m in ALL_METHODS[2:]):
+            alone = _run_trial(spec, trial, group)
+            assert {m: e.tobytes() for m, e in alone.items()} == {m: whole[m].tobytes() for m in group}
+
+
+@needs_fork
+def test_a_failing_adaptive_task_aborts_a_mixed_spec_and_cancels_the_rest(monkeypatch, tmp_path):
+    monkeypatch.setenv("LISOPT_WORKERS", "2")
+    calls = tmp_path / "calls"
+
+    def slow(method):
+        run = harness.METHODS[method][0]
+
+        def driver(objective, config):
+            with open(calls, "a") as fh:
+                fh.write(f"{method} {config.seed}\n")
+            if method == "adaptive_random_search" and config.seed == derive_seed(7, 0):
+                raise ValueError("boom")
+            time.sleep(0.05)
+            return run(objective, config)
+        return driver
+
+    for method in ("adaptive_random_search", "isotropic_es"):
+        monkeypatch.setitem(harness.METHODS, method, (slow(method), harness.METHODS[method][1]))
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(small_spec(methods=list(ALL_METHODS), batch_size=50, trials=20))
+    assert str(info.value) == ("experiment aborted in method adaptive_random_search; replay with derived seed "
+                               f"{derive_seed(7, 0)} (trial 0): boom")
+    # 40 slow tasks were queued, the failing one first.
+    assert len(calls.read_text().splitlines()) < 20
+
+
 def test_abort_names_a_failing_shared_draw(monkeypatch):
     monkeypatch.setenv("LISOPT_WORKERS", "1")
     monkeypatch.setattr("lisopt.harness._build_objective",

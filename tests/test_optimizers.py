@@ -9,6 +9,7 @@ import pytest
 from lisopt import (
     AdaptiveConfig,
     IsotropicGaussian,
+    MixturePolicy,
     Objective,
     StaticConfig,
     alpha_schedule,
@@ -28,6 +29,7 @@ from lisopt import (
     run_liso,
     run_random_search,
 )
+from lisopt import optimizers
 from lisopt.estimators import _weighted_sum
 from lisopt.optimizers import _normalized_recombination_weights, _recombine, _SoftminPrefixes
 
@@ -607,6 +609,36 @@ def test_estimates_lie_in_sample_hull(name, driver, is_static):
     assert np.all(est <= pts.max(axis=0) + 1e-12)
     assert np.all(trace.estimates >= pts.min(axis=0) - 1e-12)
     assert np.all(trace.estimates <= pts.max(axis=0) + 1e-12)
+
+
+def _per_run_counts(monkeypatch, driver, mixture_weight, budget):
+    """How many Gaussians and mixtures one config and run of ``driver``
+    builds, and how many times it checks ``alpha_schedule``'s arguments."""
+    counts = dict.fromkeys(("IsotropicGaussian", "MixturePolicy", "alpha_schedule"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (IsotropicGaussian, MixturePolicy):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(optimizers, "alpha_schedule", counted("alpha_schedule", optimizers.alpha_schedule))
+    q0 = IsotropicGaussian(mean=np.full(4, 2.0), variance=0.25)
+    cfg = AdaptiveConfig(budget=budget, alpha0=1.0, q0=q0, seed=5, sigma2=0.25,
+                         mixture_weight=mixture_weight, batch_size=300)
+    driver(benchmark("sphere", 4), cfg)
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("mixture_weight", [0.0, 0.3])
+@pytest.mark.parametrize("driver", [run_adaptive_liso, run_adaptive_random_search, run_isotropic_es])
+def test_policies_and_temperature_checks_are_per_run_not_per_batch(monkeypatch, driver, mixture_weight):
+    # 10 batches and 100: a count that grew with the batches would differ.
+    small, large = (_per_run_counts(monkeypatch, driver, mixture_weight, n) for n in (3000, 30000))
+    assert small == large
 
 
 # ----------------------------------------------------------------------
